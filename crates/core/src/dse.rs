@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use omega_accel::AccelConfig;
 use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
-use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, InterPhase, IntraPattern, MappingSpec};
+use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, IntraPattern, MappingSpec};
 
 use crate::evaluate::DseEval;
 use crate::mapper::{refine_tiles, Objective};
@@ -206,11 +206,7 @@ pub fn concretize_pattern(
     cfg: &AccelConfig,
 ) -> GnnDataflow {
     let ctx = workload.tile_context(pattern.phase_order);
-    let (agg_pes, cmb_pes) = if pattern.inter == InterPhase::ParallelPipeline {
-        (cfg.num_pes / 2, cfg.num_pes / 2)
-    } else {
-        (cfg.num_pes, cfg.num_pes)
-    };
+    let (agg_pes, cmb_pes) = crate::mapper::phase_pe_budgets(pattern.inter, cfg);
     GnnDataflow {
         inter: pattern.inter,
         phase_order: pattern.phase_order,
@@ -512,48 +508,13 @@ pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
     (merged, evaluated, skipped, pruned)
 }
 
-/// Shared parameters of a parallel *dataflow* candidate search.
-pub(crate) struct SearchJob<'a> {
-    pub workload: &'a GnnWorkload,
-    pub cfg: &'a AccelConfig,
-    pub objective: Objective,
-    /// Winners to keep per worker (and overall).
-    pub k: usize,
-    pub threads: usize,
-    /// Candidates per work-queue claim.
-    pub chunk: usize,
-}
-
-/// [`parallel_search`] specialised to dataflow candidates scored by
-/// [`evaluate`] — the primitive shared by [`explore`] (over the full pattern
-/// space) and [`crate::mapper::best_of`] (over an explicit candidate slice).
-pub(crate) fn parallel_top_k(
-    count: usize,
-    gen: &(dyn Fn(usize) -> GnnDataflow + Sync),
-    job: &SearchJob<'_>,
-) -> (Vec<Scored>, usize, usize) {
-    let pjob = ParallelJob {
-        k: job.k,
-        threads: job.threads,
-        chunk: job.chunk,
-        init_threshold: f64::INFINITY,
-        cancel: None,
-    };
-    let prep = PreparedEval::new(job.workload, job.cfg);
-    let score = |dataflow: &GnnDataflow, _index: usize, _thr: f64| -> Verdict<CostReport> {
-        dse_verdict(prep.evaluate_dse(dataflow, None, None), job.objective)
-    };
-    let (merged, evaluated, skipped, _pruned) = parallel_search(count, gen, &score, &pjob);
-    (merged, evaluated, skipped)
-}
-
 /// Turns a [`DseEval`] into a search [`Verdict`], stripping the per-chunk
 /// pipeline timelines before retention: ranked winners don't need them, and a
 /// poorly-tiled PP candidate's marks run to millions of entries — dropping
 /// them keeps per-worker top-K memory bounded. (Re-run [`evaluate`] on a
-/// winner to recover its timeline.) Shared by [`parallel_top_k`] and
+/// winner to recover its timeline.) Shared by [`crate::mapper::best_of`] and
 /// [`explore`] so the mapper and explorer paths cannot diverge.
-fn dse_verdict(eval: DseEval, objective: Objective) -> Verdict<CostReport> {
+pub(crate) fn dse_verdict(eval: DseEval, objective: Objective) -> Verdict<CostReport> {
     match eval {
         DseEval::Report(report) => {
             let mut report = *report;

@@ -24,7 +24,7 @@
 //! the layer-level engine; uniform Table V preset chains are seeded so the
 //! reported optimum is never worse than any fixed-preset accelerator.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::Serialize;
@@ -35,9 +35,9 @@ use omega_dataflow::GnnDataflow;
 
 use super::{lock_recover, parallel_search, DseCache, DseOptions, ParallelJob, ParetoFront};
 use crate::mapper::Objective;
-use crate::models::{to_chain, uniform_layer_dataflows, GnnModel, ModelError};
-use crate::multiphase::{evaluate_chain, ChainReport, Link, PartitionSplit};
-use crate::GnnWorkload;
+use crate::models::{lower, to_chain, uniform_layer_dataflows, GnnModel, ModelError};
+use crate::multiphase::{evaluate_chain, evaluate_chain_in, ChainReport, Link, PartitionSplit, SparseOperands};
+use crate::{GnnWorkload, PhaseSimCache};
 
 /// Tuning knobs of a model-level exploration.
 #[derive(Debug, Clone, Serialize)]
@@ -457,7 +457,10 @@ pub fn evaluate_mapping(
 /// Deterministic: the ranked result is independent of `threads` and `chunk`
 /// (ties broken by enumeration index). Layer-level searches go through
 /// `cache`, so repeated model studies over the same layer shapes never
-/// re-search the 6,656-pattern space.
+/// re-search the 6,656-pattern space. The graph is prepared once per call and
+/// every lowered chain runs its stages through one shared [`PhaseSimCache`],
+/// so a stage simulation recurring across mappings runs once
+/// (bit-identical to [`evaluate_mapping`]).
 pub fn explore_model(
     model: &GnnModel,
     base: &GnnWorkload,
@@ -473,8 +476,13 @@ pub fn explore_model(
 
     let space_ref = &space;
     let gen = move |i: usize| space_ref.mapping(i);
+    let graph: Arc<[usize]> = Arc::from(base.degrees.as_slice());
+    let operands = SparseOperands::new([&graph]);
+    let stage_sims = PhaseSimCache::new();
     let score_mapping = |m: &ModelMapping| -> Option<(f64, ChainReport)> {
-        let (s, mut r) = evaluate_mapping(model, base, m, cfg, opts.objective).ok()?;
+        let chain = lower(model, base, &m.layer_dataflows, &m.links, cfg, &graph).ok()?;
+        let mut r = evaluate_chain_in(&chain, cfg, &operands, Some(&stage_sims)).ok()?;
+        let s = opts.objective.score_chain(&r);
         // Winners don't need the per-chunk pipeline timelines; keep retention
         // memory bounded (re-evaluate a winner to recover them).
         for (_, stats) in &mut r.stages {

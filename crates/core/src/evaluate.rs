@@ -1,15 +1,21 @@
 //! The OMEGA evaluation entry point: one workload × one dataflow × one machine.
 //!
-//! The evaluation is **phase-factored**: [`evaluate`] first *plans* the two
-//! phase simulations (tiling, operand classes, bandwidth share, residency
-//! flags, chunk spec — everything a phase engine's result depends on besides
-//! the workload itself), then runs them, then *composes* the totals per the
-//! inter-phase cost model (Table III). The factoring is what the exhaustive
-//! explorer of [`crate::dse`] exploits: for `Sequential` and
-//! `SequentialPipeline` dataflows the two phase simulations are completely
-//! independent of each other, so a [`PhaseSimCache`] keyed by the phase plan
-//! lets a 6,656-candidate sweep simulate each *unique* phase configuration
-//! once and recompose the rest arithmetically.
+//! The evaluation is **phase-factored**: [`evaluate`] first *plans* the
+//! layer's phase simulations as [`PhaseKey`]s (tiling, operand classes,
+//! bandwidth share, residency flags, chunk spec — everything a phase engine's
+//! result depends on besides the sparse operand itself), then runs them, then
+//! *composes* the totals through the shared [`Composition`] step recurrence
+//! and prices them per the inter-phase cost model (Table III). The factoring
+//! is what the exhaustive explorer of [`crate::dse`] exploits: for
+//! `Sequential` and `SequentialPipeline` dataflows the two phase simulations
+//! are completely independent of each other, so a [`PhaseSimCache`] keyed by
+//! the phase plan lets a 6,656-candidate sweep simulate each *unique* phase
+//! configuration once and recompose the rest arithmetically.
+//!
+//! The same keys describe the stages of a multiphase chain
+//! ([`crate::multiphase`]): [`crate::models::to_chain`] lowers each layer from
+//! [`plan`], and the chain runs its stages through the same [`simulate`]
+//! dispatch, cache and composer.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,9 +26,7 @@ use omega_accel::engine::{
     CapacityBudget, ChunkSide, ChunkSpec, ElementwiseWorkload, EngineOptions, GemmDims,
     OperandClasses, PreparedGemm, PreparedSpmm,
 };
-use omega_accel::{
-    AccelConfig, AccessCounters, BandwidthShare, EnergyModel, OperandClass, PhaseStats,
-};
+use omega_accel::{AccelConfig, BandwidthShare, EnergyModel, OperandClass, PhaseStats};
 use omega_dataflow::{
     validate, validate_elementwise, validate_sddmm, Dim, GnnDataflow, Granularity, InterPhase,
     IntraTiling, PhaseOrder, ValidationError,
@@ -30,7 +34,7 @@ use omega_dataflow::{
 
 use crate::cost::{CostReport, EnergyBreakdown, IntermediateCost};
 use crate::dse::lock_recover;
-use crate::pipeline::{pipeline_runtime, resample_durations};
+use crate::pipeline::Composition;
 use crate::GnnWorkload;
 
 /// Evaluation failure.
@@ -78,52 +82,125 @@ pub fn evaluate(
     PreparedEval::new(workload, cfg).evaluate(dataflow)
 }
 
-/// One phase simulation, fully specified modulo the workload held by the
-/// surrounding [`PreparedEval`]. Doubles as the [`PhaseSimCache`] key: two
-/// equal keys denote bit-identical simulations (the engines are deterministic),
-/// so every result-affecting knob — tiling, operand classes, bandwidth share,
-/// residency flags, chunk spec — participates in `Eq`/`Hash`.
+/// One phase simulation — a layer phase or a chain stage — fully specified
+/// modulo the sparse operand (row degrees) an SpMM/SDDMM walks. Doubles as the
+/// [`PhaseSimCache`] key: two equal keys over the same operand denote
+/// bit-identical simulations (the engines are deterministic), so every
+/// result-affecting knob — tiling, operand classes, bandwidth share, residency
+/// flags, chunk spec — participates in `Eq`/`Hash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PhaseKey {
-    /// Aggregation: SpMM over the prepared degrees, `width` dense columns.
-    Spmm { width: usize, tiling: IntraTiling, classes: OperandClasses, opts: EngineOptions },
+pub(crate) struct PhaseKey {
+    /// The kernel and its workload dimensions.
+    pub(crate) op: PhaseOp,
+    /// Concrete tiling of the phase.
+    pub(crate) tiling: IntraTiling,
+    /// Which Fig. 13 buckets the traffic lands in.
+    pub(crate) classes: OperandClasses,
+    /// Bandwidth share, residency flags, chunk spec, storage budget.
+    pub(crate) opts: EngineOptions,
+}
+
+/// The kernel a [`PhaseKey`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PhaseOp {
+    /// Aggregation: SpMM over the sparse operand, `width` dense columns.
+    Spmm { width: usize },
     /// Combination: dense GEMM.
-    Gemm { dims: GemmDims, tiling: IntraTiling, classes: OperandClasses, opts: EngineOptions },
-    /// Attention scoring: SDDMM over the prepared degrees (`heads` per-edge
+    Gemm(GemmDims),
+    /// Attention scoring: SDDMM over the sparse operand (`heads` per-edge
     /// dot products of `dot_width` elements, plus the softmax pass).
-    Sddmm {
-        dot_width: usize,
-        heads: usize,
-        tiling: IntraTiling,
-        classes: OperandClasses,
-        opts: EngineOptions,
-    },
-    /// Elementwise post-phase (activation / LayerNorm) over the layer output,
-    /// run on the final matrix phase's tiling.
-    Elementwise {
-        wl: ElementwiseWorkload,
-        tiling: IntraTiling,
-        classes: OperandClasses,
-        opts: EngineOptions,
-    },
+    Sddmm { dot_width: usize, heads: usize },
+    /// Elementwise pass (activation / LayerNorm) over a dense matrix — a
+    /// layer's post-phase, run on the final matrix phase's tiling.
+    Elementwise(ElementwiseWorkload),
+}
+
+impl PhaseKey {
+    /// Plans this phase as one side of a pipelined link (the PP strategy
+    /// inside a layer, or a pipelined chain link): a chunk mark every
+    /// `pel_elems` intermediate elements, at NoC share `bandwidth`.
+    ///
+    /// The sparse engines track *consumption* progress in per-edge units
+    /// rather than intermediate elements (a consumer gathers arbitrary rows),
+    /// so a consuming SpMM/SDDMM converts `Pel` onto that axis using its
+    /// operand's `rows` and `nnz`, and chunk counts roughly align before
+    /// resampling; dense engines count elements directly.
+    pub(crate) fn pipeline(
+        &mut self,
+        side: ChunkSide,
+        pel_elems: u64,
+        bandwidth: BandwidthShare,
+        rows: u64,
+        nnz: u64,
+    ) {
+        // Elements each stored non-zero (edge visit) of a sparse op consumes.
+        let per_visit = match self.op {
+            PhaseOp::Spmm { width } => Some(width as u64),
+            PhaseOp::Sddmm { dot_width, heads } => Some(heads.max(1) as u64 * dot_width as u64),
+            PhaseOp::Gemm(_) | PhaseOp::Elementwise(_) => None,
+        };
+        let pel = match (side, per_visit) {
+            (ChunkSide::Consume, Some(w)) => scale_elems_to_visits(pel_elems, rows * w, nnz * w),
+            _ => pel_elems,
+        };
+        self.opts.bandwidth = bandwidth;
+        self.opts.chunk = Some(ChunkSpec { side, pel });
+    }
+}
+
+/// Runs one phase simulation — the single dispatch from a [`PhaseKey`] to its
+/// engine. `sparse` is the prepared operand of an SpMM/SDDMM key (dense keys
+/// ignore it); a GEMM simulates the key's own dimensions.
+pub(crate) fn simulate(
+    key: &PhaseKey,
+    sparse: Option<&PreparedSpmm<'_>>,
+    cfg: &AccelConfig,
+) -> PhaseStats {
+    let PhaseKey { op, tiling, classes, opts } = key;
+    let operand = || sparse.expect("a sparse phase runs over its prepared operand");
+    match *op {
+        PhaseOp::Spmm { width } => simulate_spmm_prepared(operand(), width, tiling, cfg, classes, opts),
+        PhaseOp::Gemm(dims) => {
+            simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts)
+        }
+        PhaseOp::Sddmm { dot_width, heads } => {
+            simulate_sddmm_prepared(operand(), dot_width, heads, tiling, cfg, classes, opts)
+        }
+        PhaseOp::Elementwise(wl) => simulate_elementwise(&wl, tiling, cfg, classes, opts),
+    }
+}
+
+/// [`simulate`] through `cache` when given: `operand` is the sparse operand's
+/// slot in the cache's scope (see [`PhaseSimCache`]).
+pub(crate) fn simulate_cached(
+    cache: Option<&PhaseSimCache>,
+    operand: usize,
+    key: &PhaseKey,
+    sparse: Option<&PreparedSpmm<'_>>,
+    cfg: &AccelConfig,
+) -> PhaseStats {
+    match cache {
+        Some(cache) => cache.stats(operand, key, || simulate(key, sparse, cfg)).as_ref().clone(),
+        None => simulate(key, sparse, cfg),
+    }
 }
 
 /// The planned evaluation of one dataflow: every phase simulation plus the
 /// composition facts that do not depend on simulation results.
-struct EvalPlan {
-    sp_optimized: bool,
-    granularity: Option<Granularity>,
-    pel: Option<u64>,
+pub(crate) struct EvalPlan {
+    pub(crate) sp_optimized: bool,
+    pub(crate) granularity: Option<Granularity>,
+    pub(crate) pel: Option<u64>,
     /// The attention scoring phase, when the workload has one. It runs
     /// sequentially before the aggregation/combination pair on the full
     /// array, sharing the Aggregation tiling.
-    sddmm: Option<PhaseKey>,
-    agg: PhaseKey,
-    cmb: PhaseKey,
+    pub(crate) sddmm: Option<PhaseKey>,
+    pub(crate) agg: PhaseKey,
+    pub(crate) cmb: PhaseKey,
     /// The elementwise post-phase, when the workload requests one. It runs
     /// sequentially after both matrix phases on the full array, reusing the
     /// final phase's tiling.
-    post: Option<PhaseKey>,
+    pub(crate) post: Option<PhaseKey>,
 }
 
 /// How a DSE-driven evaluation ended (see [`PreparedEval::evaluate_dse`]).
@@ -138,13 +215,12 @@ pub(crate) enum DseEval {
 }
 
 /// A workload's evaluation context, prepared once and shared across many
-/// dataflow evaluations: the hoisted SpMM degree structures, the GEMM
-/// dimensions, and the energy model.
+/// dataflow evaluations: the hoisted SpMM degree structures and the energy
+/// model.
 pub struct PreparedEval<'a> {
     workload: &'a GnnWorkload,
     cfg: &'a AccelConfig,
     spmm: PreparedSpmm<'a>,
-    gemm: PreparedGemm,
     energy_model: EnergyModel,
 }
 
@@ -155,7 +231,6 @@ impl<'a> PreparedEval<'a> {
             workload,
             cfg,
             spmm: PreparedSpmm::new(&workload.degrees),
-            gemm: PreparedGemm::new(GemmDims { v: workload.v, f: workload.f, g: workload.g }),
             energy_model: EnergyModel {
                 gb_bank_bytes: cfg.gb_bank_bytes,
                 ..EnergyModel::paper_default()
@@ -165,7 +240,7 @@ impl<'a> PreparedEval<'a> {
 
     /// Evaluates one dataflow — bit-identical to [`evaluate`].
     pub fn evaluate(&self, dataflow: &GnnDataflow) -> Result<CostReport, EvalError> {
-        let plan = self.plan(dataflow)?;
+        let plan = plan(self.workload, self.cfg, dataflow)?;
         Ok(self.run_plan(dataflow, &plan, None))
     }
 
@@ -177,7 +252,7 @@ impl<'a> PreparedEval<'a> {
         dataflow: &GnnDataflow,
         cache: &PhaseSimCache,
     ) -> Result<CostReport, EvalError> {
-        let plan = self.plan(dataflow)?;
+        let plan = plan(self.workload, self.cfg, dataflow)?;
         Ok(self.run_plan(dataflow, &plan, Some(cache)))
     }
 
@@ -190,7 +265,7 @@ impl<'a> PreparedEval<'a> {
         cache: Option<&PhaseSimCache>,
         prune_above: Option<f64>,
     ) -> DseEval {
-        let Ok(plan) = self.plan(dataflow) else { return DseEval::Invalid };
+        let Ok(plan) = plan(self.workload, self.cfg, dataflow) else { return DseEval::Invalid };
         if let Some(threshold) = prune_above {
             if self.lower_bound(&plan, dataflow.inter) as f64 > threshold {
                 return DseEval::Pruned;
@@ -211,7 +286,7 @@ impl<'a> PreparedEval<'a> {
         cache: Option<&PhaseSimCache>,
         prune_if: &dyn Fn([f64; 3]) -> bool,
     ) -> DseEval {
-        let Ok(plan) = self.plan(dataflow) else { return DseEval::Invalid };
+        let Ok(plan) = plan(self.workload, self.cfg, dataflow) else { return DseEval::Invalid };
         if prune_if(self.bound_vector(&plan, dataflow)) {
             return DseEval::Pruned;
         }
@@ -227,215 +302,20 @@ impl<'a> PreparedEval<'a> {
         plan: &EvalPlan,
         cache: Option<&PhaseSimCache>,
     ) -> CostReport {
-        let (sddmm, agg, cmb, post) = match cache {
-            Some(cache) => (
-                plan.sddmm.as_ref().map(|k| cache.stats(self, k).as_ref().clone()),
-                cache.stats(self, &plan.agg).as_ref().clone(),
-                cache.stats(self, &plan.cmb).as_ref().clone(),
-                plan.post.as_ref().map(|k| cache.stats(self, k).as_ref().clone()),
-            ),
-            None => (
-                plan.sddmm.as_ref().map(|k| self.simulate(k)),
-                self.simulate(&plan.agg),
-                self.simulate(&plan.cmb),
-                plan.post.as_ref().map(|k| self.simulate(k)),
-            ),
-        };
+        // One prepared workload is the cache's whole scope: operand slot 0.
+        let run = |key: &PhaseKey| simulate_cached(cache, 0, key, Some(&self.spmm), self.cfg);
+        let sddmm = plan.sddmm.as_ref().map(run);
+        let (agg, cmb) = (run(&plan.agg), run(&plan.cmb));
+        let post = plan.post.as_ref().map(run);
         self.compose(dataflow, plan, sddmm, agg, cmb, post)
     }
 
-    /// Plans the two phase simulations of `dataflow` — the per-phase engine
-    /// options exactly as the inter-phase cost model prescribes them.
-    fn plan(&self, dataflow: &GnnDataflow) -> Result<EvalPlan, EvalError> {
-        validate(dataflow)?;
-        let workload = self.workload;
-        let cfg = self.cfg;
-        let sp_optimized = dataflow.is_sp_optimized();
-        // Capacity enforcement is opt-in (`ModelKnobs::enforce_capacity`): the
-        // engines always *report* their working-set peaks, but only a finite
-        // budget makes overflowing tiles pay the spill recipe. `UNBOUNDED`
-        // keeps every plan bit-identical to the unconstrained paper model.
-        let capacity = if cfg.knobs.enforce_capacity {
-            CapacityBudget { rf_bytes_per_pe: cfg.rf_bytes_per_pe, gb_bytes: cfg.gb_bytes }
-        } else {
-            CapacityBudget::UNBOUNDED
-        };
-
-        // Attention (GAT) workloads prepend an SDDMM scoring phase: scores are
-        // computed on the input features (AC only) with the layer's
-        // Aggregation tiling, which must satisfy the SDDMM loop-order rule.
-        let sddmm = match workload.attention {
-            None => None,
-            Some(att) => {
-                if dataflow.phase_order != PhaseOrder::AC {
-                    return Err(EvalError::AttentionRequiresAc);
-                }
-                validate_sddmm(&dataflow.agg)?;
-                let mut opts = EngineOptions::plain(cfg.full_bandwidth());
-                opts.capacity = capacity;
-                opts.reference_walk = cfg.knobs.reference_walk;
-                if sp_optimized {
-                    // SP-Optimized attention: both phases share the tiling, so
-                    // the scores never leave the PE register files — the
-                    // softmax runs locally and the aggregation gathers the
-                    // resident values (its `scores_resident` flag below).
-                    opts.output_stays_local = true;
-                }
-                Some(PhaseKey::Sddmm {
-                    dot_width: att.dot_width(workload.f),
-                    heads: att.heads,
-                    tiling: dataflow.agg,
-                    classes: OperandClasses::sddmm(),
-                    opts,
-                })
-            }
-        };
-        // A Sequential dataflow's loop orders may *happen* to be
-        // pipeline-compatible, but nothing is pipelined — report no
-        // granularity/Pel for it.
-        let granularity = match dataflow.inter {
-            InterPhase::Sequential => None,
-            _ => dataflow.granularity(),
-        };
-        let pel = granularity.and(intermediate_pel(workload, dataflow));
-
-        // The dense width Aggregation streams per neighbour: F under AC, G under CA.
-        let agg_width = match dataflow.phase_order {
-            PhaseOrder::AC => workload.f,
-            PhaseOrder::CA => workload.g,
-        };
-        let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
-            // GAT aggregation gathers SDDMM scores as its per-edge values.
-            (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
-            (None, PhaseOrder::AC) => {
-                (OperandClasses::aggregation_ac(), OperandClasses::combination_ac())
-            }
-            (None, PhaseOrder::CA) => {
-                (OperandClasses::aggregation_ca(), OperandClasses::combination_ca())
-            }
-        };
-
-        let (agg_opts, cmb_opts) = match dataflow.inter {
-            InterPhase::Sequential => {
-                let bw = cfg.full_bandwidth();
-                (EngineOptions::plain(bw), EngineOptions::plain(bw))
-            }
-            InterPhase::SequentialPipeline => {
-                let bw = cfg.full_bandwidth();
-                let mut producer_opts = EngineOptions::plain(bw);
-                let mut consumer_opts = EngineOptions::plain(bw);
-                if sp_optimized {
-                    producer_opts.output_stays_local = true;
-                    consumer_opts.input_resident = true;
-                }
-                match dataflow.phase_order {
-                    PhaseOrder::AC => (producer_opts, consumer_opts),
-                    PhaseOrder::CA => (consumer_opts, producer_opts),
-                }
-            }
-            InterPhase::ParallelPipeline => {
-                let pel_elems = pel.expect("validated PP dataflow has a granularity");
-                // NoC bandwidth is shared between the concurrently-running
-                // partitions in proportion to their PE allocation (Section V-C3).
-                let agg_bw = cfg.bandwidth_fraction(dataflow.agg.pe_footprint());
-                let cmb_bw = cfg.bandwidth_fraction(dataflow.cmb.pe_footprint());
-                let mut agg_opts = EngineOptions::plain(agg_bw);
-                let mut cmb_opts = EngineOptions::plain(cmb_bw);
-                let (agg_side, cmb_side) = match dataflow.phase_order {
-                    PhaseOrder::AC => (ChunkSide::Produce, ChunkSide::Consume),
-                    PhaseOrder::CA => (ChunkSide::Consume, ChunkSide::Produce),
-                };
-                agg_opts.chunk = Some(ChunkSpec {
-                    side: agg_side,
-                    pel: chunk_pel(agg_side, pel_elems, workload, agg_width),
-                });
-                cmb_opts.chunk = Some(ChunkSpec { side: cmb_side, pel: pel_elems });
-                (agg_opts, cmb_opts)
-            }
-        };
-
-        let (mut agg_opts, mut cmb_opts) = (agg_opts, cmb_opts);
-        agg_opts.capacity = capacity;
-        cmb_opts.capacity = capacity;
-        // The per-edge oracle only exists for the sparse walks; GEMM has no
-        // reference path, so its options stay untouched (and cache-stable).
-        agg_opts.reference_walk = cfg.knobs.reference_walk;
-        if sddmm.is_some() && sp_optimized {
-            // The SDDMM producer kept the scores local (see above): the
-            // aggregation reads them from the RFs, fetching only the CSR
-            // structure.
-            agg_opts.scores_resident = true;
-        }
-
-        // The elementwise post-phase streams the finished `V×G` output through
-        // the array once more (twice for LayerNorm), after both matrix phases:
-        // it reuses the *final* phase's tiling — the output is already laid out
-        // for it — at full bandwidth (nothing else runs concurrently).
-        let post = match workload.post_op {
-            None => None,
-            Some(op) => {
-                let tiling = match dataflow.phase_order {
-                    PhaseOrder::AC => dataflow.cmb,
-                    PhaseOrder::CA => dataflow.agg,
-                };
-                validate_elementwise(&tiling)?;
-                let mut opts = EngineOptions::plain(cfg.full_bandwidth());
-                opts.capacity = capacity;
-                Some(PhaseKey::Elementwise {
-                    wl: ElementwiseWorkload { rows: workload.v, width: workload.g, op },
-                    tiling,
-                    classes: OperandClasses::elementwise_on(OperandClass::Output),
-                    opts,
-                })
-            }
-        };
-
-        Ok(EvalPlan {
-            sp_optimized,
-            granularity,
-            pel,
-            sddmm,
-            agg: PhaseKey::Spmm {
-                width: agg_width,
-                tiling: dataflow.agg,
-                classes: agg_classes,
-                opts: agg_opts,
-            },
-            cmb: PhaseKey::Gemm {
-                dims: self.gemm.dims(),
-                tiling: dataflow.cmb,
-                classes: cmb_classes,
-                opts: cmb_opts,
-            },
-            post,
-        })
-    }
-
-    /// Runs one planned phase simulation.
-    fn simulate(&self, key: &PhaseKey) -> PhaseStats {
-        match key {
-            PhaseKey::Spmm { width, tiling, classes, opts } => {
-                simulate_spmm_prepared(&self.spmm, *width, tiling, self.cfg, classes, opts)
-            }
-            PhaseKey::Gemm { tiling, classes, opts, .. } => {
-                // The key's `dims` equal `self.gemm.dims()` by construction
-                // (`plan` copies them from the preparation); the prepared
-                // variant is what the simulation consumes.
-                simulate_gemm_prepared(&self.gemm, tiling, self.cfg, classes, opts)
-            }
-            PhaseKey::Sddmm { dot_width, heads, tiling, classes, opts } => {
-                simulate_sddmm_prepared(
-                    &self.spmm, *dot_width, *heads, tiling, self.cfg, classes, opts,
-                )
-            }
-            PhaseKey::Elementwise { wl, tiling, classes, opts } => {
-                simulate_elementwise(wl, tiling, self.cfg, classes, opts)
-            }
-        }
-    }
-
-    /// Composes the phase results into the inter-phase cost report (Table III;
-    /// an attention workload's SDDMM phase adds sequentially up front).
+    /// Composes the phase results through the shared step recurrence — an
+    /// attention workload's SDDMM phase is a sequential prefix, the
+    /// elementwise post-phase a sequential suffix, the matrix pair a barrier
+    /// pair under Seq/SP and a pipelined pair under PP — then prices the
+    /// layer per Table III: the intermediate buffering term and the
+    /// partition-aware intermediate energy.
     fn compose(
         &self,
         dataflow: &GnnDataflow,
@@ -445,107 +325,80 @@ impl<'a> PreparedEval<'a> {
         cmb: PhaseStats,
         post: Option<PhaseStats>,
     ) -> CostReport {
-        let workload = self.workload;
         let cfg = self.cfg;
-        let (total_cycles, buffering, partition_bytes) = match dataflow.inter {
-            InterPhase::Sequential => (
-                agg.cycles + cmb.cycles,
-                workload.intermediate_elems(dataflow.phase_order),
-                None,
-            ),
-            InterPhase::SequentialPipeline => {
-                // Table III: SP-Generic stages Pel elements through the GB;
-                // SP-Optimized keeps the intermediate in the RFs (zero buffering).
-                let buffering = if plan.sp_optimized { 0 } else { plan.pel.unwrap_or(0) };
-                (agg.cycles + cmb.cycles, buffering, None)
-            }
-            InterPhase::ParallelPipeline => {
-                let pel_elems = plan.pel.expect("validated PP dataflow has a granularity");
-                let producer_is_agg = dataflow.phase_order == PhaseOrder::AC;
-                let (producer, consumer) = if producer_is_agg { (&agg, &cmb) } else { (&cmb, &agg) };
-                let p_dur = producer.chunk_durations();
-                let c_dur = consumer.chunk_durations();
-                let k = p_dur.len().max(1);
-                let c_dur = if c_dur.len() == k { c_dur } else { resample_durations(&c_dur, k) };
-                let p_dur = if p_dur.is_empty() { vec![0] } else { p_dur };
-                let total = pipeline_runtime(&p_dur, &c_dur);
-                // Ping-pong buffering: 2 × Pel (Table III).
-                let buffering = 2 * pel_elems;
-                (total, buffering, Some((buffering as usize) * cfg.word_bytes))
-            }
+        // The scoring prefix and the post suffix run alone on the full array:
+        // every downstream phase needs the full normalised score array (the
+        // softmax is a global per-row reduction), and LayerNorm's stats sweep
+        // reads whole output rows.
+        let mut timeline = Composition::default();
+        timeline.barrier(sddmm.as_ref());
+        let (first, second) = match dataflow.phase_order {
+            PhaseOrder::AC => (&agg, &cmb),
+            PhaseOrder::CA => (&cmb, &agg),
         };
-
-        // The scoring phase is a sequential prefix: every downstream phase
-        // needs the full normalised score array (the softmax is a global
-        // per-row reduction), so its cycles add on top of the composition.
-        // Symmetrically, the elementwise post-phase is a sequential suffix: it
-        // needs the complete layer output (LayerNorm's stats sweep reads whole
-        // rows), so its cycles add at the end.
-        let total_cycles = total_cycles
-            + sddmm.as_ref().map_or(0, |s| s.cycles)
-            + post.as_ref().map_or(0, |s| s.cycles);
-
-        let mut counters = AccessCounters::default();
-        if let Some(s) = &sddmm {
-            counters.merge(&s.counters);
+        if dataflow.inter == InterPhase::ParallelPipeline {
+            timeline.pipelined(first, second, 0);
+        } else {
+            timeline.barrier([first]);
+            timeline.barrier([second]);
         }
-        counters.merge(&agg.counters);
-        counters.merge(&cmb.counters);
-        if let Some(s) = &post {
-            counters.merge(&s.counters);
-        }
+        timeline.barrier(post.as_ref());
+
+        let buffering = self.buffering(plan, dataflow);
         // Fig. 6 / Section IV-A: Seq stages the whole intermediate on chip;
         // whatever does not fit the GB moves through DRAM instead. The
         // intermediate is the resident working set (the other operands stream
         // through small staging buffers), so the overflow is charged against
-        // the full GB capacity.
-        let intermediate_cost = match partition_bytes {
-            Some(cap) => IntermediateCost::Partition(cap),
-            None => {
-                let dram_fraction = if dataflow.inter == InterPhase::Sequential {
-                    let int_bytes = buffering as f64 * cfg.word_bytes as f64;
-                    ((int_bytes - cfg.gb_bytes as f64) / int_bytes.max(1.0)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
+        // the full GB capacity. PP accesses its ping-pong partition instead.
+        let intermediate_cost = match dataflow.inter {
+            InterPhase::ParallelPipeline => {
+                IntermediateCost::Partition((buffering as usize) * cfg.word_bytes)
+            }
+            InterPhase::Sequential => {
+                let int_bytes = buffering as f64 * cfg.word_bytes as f64;
+                let dram_fraction =
+                    ((int_bytes - cfg.gb_bytes as f64) / int_bytes.max(1.0)).clamp(0.0, 1.0);
                 IntermediateCost::GlobalBuffer { dram_fraction }
             }
+            InterPhase::SequentialPipeline => IntermediateCost::GlobalBuffer { dram_fraction: 0.0 },
         };
-        let energy =
-            EnergyBreakdown::from_counters_with(&counters, &self.energy_model, intermediate_cost);
-
-        // On-chip working-set peak, composed the way the runtime is: the two
-        // matrix phases share the machine sequentially under Seq/SP (max of
-        // their peaks) but coexist under PP (sum); the SDDMM prefix and the
-        // elementwise suffix run alone on the full array (max). The Table III
-        // intermediate buffering coexists with whichever phase is running, so
-        // its bytes add on top.
-        let phase_peak = |s: &PhaseStats| -> u64 {
-            s.gb_peak_bytes.saturating_add(s.rf_peak_bytes.saturating_mul(s.pe_footprint as u64))
-        };
-        let matrix_pair = match dataflow.inter {
-            InterPhase::ParallelPipeline => phase_peak(&agg).saturating_add(phase_peak(&cmb)),
-            _ => phase_peak(&agg).max(phase_peak(&cmb)),
-        };
-        let buffer_peak_bytes = matrix_pair
-            .max(sddmm.as_ref().map_or(0, &phase_peak))
-            .max(post.as_ref().map_or(0, &phase_peak))
-            .saturating_add(buffering.saturating_mul(cfg.word_bytes as u64));
+        let energy = EnergyBreakdown::from_counters_with(
+            &timeline.counters,
+            &self.energy_model,
+            intermediate_cost,
+        );
+        // The Table III buffering coexists with whichever phase is running,
+        // so its bytes add on top of the composed working-set peak.
+        let buffer_peak_bytes =
+            timeline.peak_bytes.saturating_add(buffering.saturating_mul(cfg.word_bytes as u64));
 
         CostReport {
             dataflow: *dataflow,
-            total_cycles,
+            total_cycles: timeline.cycles,
             agg,
             cmb,
             sddmm,
             post,
-            counters,
+            counters: timeline.counters,
             intermediate_buffer_elems: buffering,
             buffer_peak_bytes,
             pel: plan.pel,
             granularity: plan.granularity,
             sp_optimized: plan.sp_optimized,
             energy,
+        }
+    }
+
+    /// Table III intermediate buffering in elements: Seq stages the whole
+    /// intermediate, SP-Generic `Pel` elements, SP-Optimized nothing (it
+    /// stays in the RFs), PP a 2×Pel ping-pong buffer. Known from the plan
+    /// alone.
+    fn buffering(&self, plan: &EvalPlan, dataflow: &GnnDataflow) -> u64 {
+        match dataflow.inter {
+            InterPhase::Sequential => self.workload.intermediate_elems(dataflow.phase_order),
+            InterPhase::SequentialPipeline if plan.sp_optimized => 0,
+            InterPhase::SequentialPipeline => plan.pel.unwrap_or(0),
+            InterPhase::ParallelPipeline => 2 * plan.pel.unwrap_or(0),
         }
     }
 
@@ -589,62 +442,37 @@ impl<'a> PreparedEval<'a> {
     /// summing the raw read streams. `None` when the engine would early-return
     /// a zero report.
     fn phase_floor(&self, key: &PhaseKey) -> Option<PhaseFloor> {
-        match key {
-            PhaseKey::Spmm { width, tiling, classes, opts } => {
-                let v = self.workload.v as u64;
-                let w = *width as u64;
-                if v == 0 || w == 0 || self.workload.nnz == 0 {
+        let (v, nnz) = (self.workload.v as u64, self.workload.nnz);
+        // (MACs, compulsory streamed `a` reads, weight reads, output writes).
+        let (macs, a_reads, b_reads, writes) = match key.op {
+            PhaseOp::Spmm { width } => {
+                let w = width as u64;
+                if v == 0 || w == 0 || nnz == 0 {
                     return None;
                 }
-                let macs = self.workload.nnz * w;
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    // One gathered dense element per MAC (the engine charges
-                    // `edge_visits × width` per pass, which covers each
-                    // (edge, column) at least once).
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { v * w },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                // One gathered dense element per MAC (the engine charges
+                // `edge_visits × width` per pass, which covers each
+                // (edge, column) at least once).
+                (nnz * w, nnz * w, 0, v * w)
             }
-            PhaseKey::Gemm { dims, tiling, classes, opts } => {
+            PhaseOp::Gemm(dims) => {
                 let (v, f, g) = (dims.v as u64, dims.f as u64, dims.g as u64);
                 if v == 0 || f == 0 || g == 0 {
                     return None;
                 }
-                Some(PhaseFloor {
-                    macs: v * f * g,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { v * f },
-                    // Every weight is fetched at least once.
-                    b_reads: f * g,
-                    writes: if opts.output_stays_local { 0 } else { v * g },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                // Every weight is fetched at least once.
+                (v * f * g, v * f, f * g, v * g)
             }
-            PhaseKey::Sddmm { dot_width, heads, tiling, classes, opts } => {
-                let (d, h) = (*dot_width as u64, (*heads).max(1) as u64);
-                if self.workload.v == 0 || d == 0 || self.workload.nnz == 0 {
+            PhaseOp::Sddmm { dot_width, heads } => {
+                let (d, h) = (dot_width as u64, heads.max(1) as u64);
+                if v == 0 || d == 0 || nnz == 0 {
                     return None;
                 }
                 // Compulsory: one gathered K element per MAC; one score write
                 // per (edge, head).
-                let macs = h * self.workload.nnz * d;
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { h * self.workload.nnz },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                (h * nnz * d, h * nnz * d, 0, h * nnz)
             }
-            PhaseKey::Elementwise { wl, tiling, classes, opts } => {
+            PhaseOp::Elementwise(wl) => {
                 let elems = wl.elems();
                 if elems == 0 {
                     return None;
@@ -652,17 +480,18 @@ impl<'a> PreparedEval<'a> {
                 // Compulsory: one ALU op and one streamed read per element per
                 // sweep, one write-back per element.
                 let macs = elems * wl.op.sweeps();
-                Some(PhaseFloor {
-                    macs,
-                    footprint: tiling.pe_footprint() as u64,
-                    a_reads: if opts.input_resident { 0 } else { macs },
-                    b_reads: 0,
-                    writes: if opts.output_stays_local { 0 } else { elems },
-                    classes: *classes,
-                    bandwidth: opts.bandwidth,
-                })
+                (macs, macs, 0, elems)
             }
-        }
+        };
+        Some(PhaseFloor {
+            macs,
+            footprint: key.tiling.pe_footprint() as u64,
+            a_reads: if key.opts.input_resident { 0 } else { a_reads },
+            b_reads,
+            writes: if key.opts.output_stays_local { 0 } else { writes },
+            classes: key.classes,
+            bandwidth: key.opts.bandwidth,
+        })
     }
 
     /// The per-objective admissible bound vector of a planned dataflow:
@@ -696,20 +525,158 @@ impl<'a> PreparedEval<'a> {
             }
         }
         let energy = gb_accesses as f64 * self.energy_model.gb_access_pj;
-        let buffering = match dataflow.inter {
-            InterPhase::Sequential => self.workload.intermediate_elems(dataflow.phase_order),
-            InterPhase::SequentialPipeline => {
-                if plan.sp_optimized {
-                    0
-                } else {
-                    plan.pel.unwrap_or(0)
-                }
-            }
-            InterPhase::ParallelPipeline => 2 * plan.pel.unwrap_or(0),
-        };
-        let footprint = buffering.saturating_mul(self.cfg.word_bytes as u64) as f64;
+        let footprint =
+            self.buffering(plan, dataflow).saturating_mul(self.cfg.word_bytes as u64) as f64;
         [cycles, energy, footprint]
     }
+}
+
+/// The base engine options of every planned phase on `cfg`: the full NoC,
+/// nothing resident, no chunk marks, and the storage budget the machine's
+/// knobs ask for. Capacity enforcement is opt-in
+/// (`ModelKnobs::enforce_capacity`): the engines always *report* their
+/// working-set peaks, but only a finite budget makes overflowing tiles pay
+/// the spill recipe. `UNBOUNDED` keeps every plan bit-identical to the
+/// unconstrained paper model.
+pub(crate) fn phase_opts(cfg: &AccelConfig) -> EngineOptions {
+    let mut opts = EngineOptions::plain(cfg.full_bandwidth());
+    if cfg.knobs.enforce_capacity {
+        opts.capacity =
+            CapacityBudget { rf_bytes_per_pe: cfg.rf_bytes_per_pe, gb_bytes: cfg.gb_bytes };
+    }
+    opts
+}
+
+/// Plans the phase simulations of `dataflow` running `workload` on `cfg` —
+/// the per-phase engine options exactly as the inter-phase cost model
+/// prescribes them. Shared by [`PreparedEval`] and the chain lowering of
+/// [`crate::models::to_chain`], so a lowered layer runs the very same keys.
+pub(crate) fn plan(
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+    dataflow: &GnnDataflow,
+) -> Result<EvalPlan, EvalError> {
+    validate(dataflow)?;
+    let sp_optimized = dataflow.is_sp_optimized();
+    let base = phase_opts(cfg);
+
+    // Attention (GAT) workloads prepend an SDDMM scoring phase: scores are
+    // computed on the input features (AC only) with the layer's Aggregation
+    // tiling, which must satisfy the SDDMM loop-order rule.
+    let sddmm = match workload.attention {
+        None => None,
+        Some(att) => {
+            if dataflow.phase_order != PhaseOrder::AC {
+                return Err(EvalError::AttentionRequiresAc);
+            }
+            validate_sddmm(&dataflow.agg)?;
+            let mut opts = base;
+            opts.reference_walk = cfg.knobs.reference_walk;
+            // SP-Optimized attention: both phases share the tiling, so the
+            // scores never leave the PE register files — the softmax runs
+            // locally and the aggregation gathers the resident values (its
+            // `scores_resident` flag below).
+            opts.output_stays_local = sp_optimized;
+            Some(PhaseKey {
+                op: PhaseOp::Sddmm { dot_width: att.dot_width(workload.f), heads: att.heads },
+                tiling: dataflow.agg,
+                classes: OperandClasses::sddmm(),
+                opts,
+            })
+        }
+    };
+    // A Sequential dataflow's loop orders may *happen* to be
+    // pipeline-compatible, but nothing is pipelined — report no
+    // granularity/Pel for it.
+    let granularity = match dataflow.inter {
+        InterPhase::Sequential => None,
+        _ => dataflow.granularity(),
+    };
+    let pel = granularity.and(intermediate_pel(workload, dataflow));
+
+    let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
+        // GAT aggregation gathers SDDMM scores as its per-edge values.
+        (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
+        (None, PhaseOrder::AC) => (OperandClasses::aggregation_ac(), OperandClasses::combination_ac()),
+        (None, PhaseOrder::CA) => (OperandClasses::aggregation_ca(), OperandClasses::combination_ca()),
+    };
+    let mut agg_opts = base;
+    // The per-edge oracle only exists for the sparse walks; GEMM has no
+    // reference path, so its options stay untouched (and cache-stable).
+    agg_opts.reference_walk = cfg.knobs.reference_walk;
+    // The SDDMM producer kept the scores local (see above): the aggregation
+    // reads them from the RFs, fetching only the CSR structure.
+    agg_opts.scores_resident = sddmm.is_some() && sp_optimized;
+    // The dense width Aggregation streams per neighbour: F under AC, G under
+    // CA.
+    let width = match dataflow.phase_order {
+        PhaseOrder::AC => workload.f,
+        PhaseOrder::CA => workload.g,
+    };
+    let mut agg = PhaseKey {
+        op: PhaseOp::Spmm { width },
+        tiling: dataflow.agg,
+        classes: agg_classes,
+        opts: agg_opts,
+    };
+    let mut cmb = PhaseKey {
+        op: PhaseOp::Gemm(GemmDims { v: workload.v, f: workload.f, g: workload.g }),
+        tiling: dataflow.cmb,
+        classes: cmb_classes,
+        opts: base,
+    };
+    let (producer, consumer) = match dataflow.phase_order {
+        PhaseOrder::AC => (&mut agg, &mut cmb),
+        PhaseOrder::CA => (&mut cmb, &mut agg),
+    };
+    match dataflow.inter {
+        InterPhase::Sequential => {}
+        InterPhase::SequentialPipeline => {
+            // SP-Optimized: the intermediate never leaves the PE register
+            // files between the producer and the consumer.
+            producer.opts.output_stays_local = sp_optimized;
+            consumer.opts.input_resident = sp_optimized;
+        }
+        InterPhase::ParallelPipeline => {
+            // NoC bandwidth is shared between the concurrently-running
+            // partitions in proportion to their PE allocation (Section V-C3).
+            let pel_elems = pel.expect("validated PP dataflow has a granularity");
+            let (p_bw, c_bw) = cfg.partition_bandwidth(
+                producer.tiling.pe_footprint(),
+                consumer.tiling.pe_footprint(),
+            );
+            let (rows, nnz) = (workload.v as u64, workload.nnz);
+            producer.pipeline(ChunkSide::Produce, pel_elems, p_bw, rows, nnz);
+            consumer.pipeline(ChunkSide::Consume, pel_elems, c_bw, rows, nnz);
+        }
+    }
+
+    // The elementwise post-phase streams the finished `V×G` output through
+    // the array once more (twice for LayerNorm), after both matrix phases: it
+    // reuses the *final* phase's tiling — the output is already laid out for
+    // it — at full bandwidth (nothing else runs concurrently).
+    let post = match workload.post_op {
+        None => None,
+        Some(op) => {
+            let tiling = match dataflow.phase_order {
+                PhaseOrder::AC => dataflow.cmb,
+                PhaseOrder::CA => dataflow.agg,
+            };
+            validate_elementwise(&tiling)?;
+            Some(PhaseKey {
+                op: PhaseOp::Elementwise(ElementwiseWorkload {
+                    rows: workload.v,
+                    width: workload.g,
+                    op,
+                }),
+                tiling,
+                classes: OperandClasses::elementwise_on(OperandClass::Output),
+                opts: base,
+            })
+        }
+    };
+
+    Ok(EvalPlan { sp_optimized, granularity, pel, sddmm, agg, cmb, post })
 }
 
 /// One phase's compulsory floor (see [`PreparedEval::phase_floor`]): MACs, PE
@@ -725,8 +692,10 @@ struct PhaseFloor {
     bandwidth: BandwidthShare,
 }
 
-/// A shared, thread-safe memo of phase simulations for one
-/// [`PreparedEval`]-prepared workload, keyed by the full phase plan.
+/// A shared, thread-safe memo of phase simulations for one prepared workload
+/// — a [`PreparedEval`], or the graph a model search lowers every chain onto —
+/// keyed by the full phase plan plus the slot of the sparse operand the phase
+/// walks within that scope (chains may mix several adjacencies).
 ///
 /// Purely an execution optimisation: hits return the exact [`PhaseStats`] the
 /// engine would recompute, so cached and uncached evaluations are
@@ -735,7 +704,7 @@ struct PhaseFloor {
 /// footprint bounded.
 #[derive(Debug, Default)]
 pub struct PhaseSimCache {
-    inner: Mutex<HashMap<PhaseKey, Arc<PhaseStats>>>,
+    inner: Mutex<HashMap<(usize, PhaseKey), Arc<PhaseStats>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -771,21 +740,27 @@ impl PhaseSimCache {
         self.len() == 0
     }
 
-    /// The stats for `key`, simulated via `prep` on miss.
-    fn stats(&self, prep: &PreparedEval<'_>, key: &PhaseKey) -> Arc<PhaseStats> {
-        if let Some(hit) = lock_recover(&self.inner).get(key) {
+    /// The stats for `key` over operand slot `operand`, produced by
+    /// `simulate` on miss.
+    fn stats(
+        &self,
+        operand: usize,
+        key: &PhaseKey,
+        simulate: impl FnOnce() -> PhaseStats,
+    ) -> Arc<PhaseStats> {
+        if let Some(hit) = lock_recover(&self.inner).get(&(operand, *key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         // Simulate outside the lock (sims are long; racing duplicates are
         // deterministic, so first-write-wins is harmless).
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let stats = Arc::new(prep.simulate(key));
+        let stats = Arc::new(simulate());
         if stats.chunk_marks.len() > MAX_CACHED_MARKS {
             return stats;
         }
         lock_recover(&self.inner)
-            .entry(*key)
+            .entry((operand, *key))
             .or_insert(stats)
             .clone()
     }
@@ -794,8 +769,8 @@ impl PhaseSimCache {
 /// The `Pel` implied by a pipelined dataflow's granularity for `workload`:
 /// intermediate-matrix geometry per Section IV-D, with footnote 1's "max tile
 /// across the two phases" rule. `None` when the loop-order pair cannot
-/// pipeline. Shared by [`evaluate`] and the chain lowering of
-/// [`crate::models::to_chain`] so both agree on chunk sizes.
+/// pipeline. Shared by [`plan`] and the chain lowering of
+/// [`crate::models::to_chain`] (which re-derives it for re-tiled stages).
 pub(crate) fn intermediate_pel(workload: &GnnWorkload, dataflow: &GnnDataflow) -> Option<u64> {
     let granularity = dataflow.granularity()?;
     let (rows, cols, t_row_max, t_col_max) = match dataflow.phase_order {
@@ -815,37 +790,15 @@ pub(crate) fn intermediate_pel(workload: &GnnWorkload, dataflow: &GnnDataflow) -
     Some(granularity.pel(rows, cols, t_row_max, t_col_max) as u64)
 }
 
-/// Rescales a `Pel` measured in intermediate elements onto the SpMM engine's
-/// edge-visit progress axis (`pel · visits / elems`, ≥ 1). Shared by the PP
-/// path here and [`crate::multiphase`]'s consume-side chunking so the two stay
-/// bit-identical — the chain lowering's cycle fidelity depends on it.
-pub(crate) fn scale_elems_to_visits(pel_elems: u64, total_elems: u64, total_visits: u64) -> u64 {
+/// Rescales a `Pel` measured in intermediate elements onto a sparse engine's
+/// edge-visit progress axis (`pel · visits / elems`, ≥ 1).
+fn scale_elems_to_visits(pel_elems: u64, total_elems: u64, total_visits: u64) -> u64 {
     if total_elems == 0 {
         return pel_elems.max(1);
     }
     ((pel_elems as u128 * total_visits as u128) / total_elems as u128).max(1) as u64
 }
 
-/// The SpMM engine tracks *consumption* progress in edge-visit units rather
-/// than intermediate elements (a CA consumer gathers arbitrary rows); convert
-/// `Pel` accordingly so chunk counts roughly align before resampling.
-fn chunk_pel(side: ChunkSide, pel_elems: u64, wl: &GnnWorkload, agg_width: usize) -> u64 {
-    match side {
-        ChunkSide::Produce => pel_elems,
-        ChunkSide::Consume => {
-            scale_elems_to_visits(pel_elems, (wl.v as u64) * agg_width as u64, wl.nnz * agg_width as u64)
-        }
-    }
-}
-
-/// Convenience: evaluate several dataflows, returning them with their reports.
-pub fn evaluate_many<'a>(
-    workload: &GnnWorkload,
-    dataflows: impl IntoIterator<Item = &'a GnnDataflow>,
-    cfg: &AccelConfig,
-) -> Vec<Result<CostReport, EvalError>> {
-    dataflows.into_iter().map(|df| evaluate(workload, df, cfg)).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -859,14 +812,7 @@ mod tests {
     }
 
     fn eval_preset(name: &str, wl: &GnnWorkload, cfg: &AccelConfig) -> CostReport {
-        let preset = Preset::by_name(name).unwrap();
-        let ctx = wl.tile_context(preset.pattern.phase_order);
-        let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        };
-        let df = preset.concretize(&ctx, a, c);
+        let df = crate::mapper::concretize_preset(&Preset::by_name(name).unwrap(), wl, cfg);
         evaluate(wl, &df, cfg).unwrap()
     }
 
@@ -980,23 +926,13 @@ mod tests {
         enforced.knobs.enforce_capacity = true;
         enforced.rf_bytes_per_pe = usize::MAX;
         enforced.gb_bytes = usize::MAX;
-        let wide = {
-            let preset = Preset::by_name("Seq1").unwrap();
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let df = preset.concretize(&ctx, enforced.num_pes, enforced.num_pes);
-            evaluate(&wl, &df, &enforced).unwrap()
-        };
+        let wide = eval_preset("Seq1", &wl, &enforced);
         assert_eq!(wide.total_cycles, baseline.total_cycles);
         assert_eq!(wide.counters.total_gb_reads() + wide.counters.total_gb_writes(), baseline.counters.total_gb_reads() + baseline.counters.total_gb_writes());
         // A starved global buffer forces spill traffic and extra cycles.
         let mut tight = enforced;
         tight.gb_bytes = 1 << 10;
-        let starved = {
-            let preset = Preset::by_name("Seq1").unwrap();
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let df = preset.concretize(&ctx, tight.num_pes, tight.num_pes);
-            evaluate(&wl, &df, &tight).unwrap()
-        };
+        let starved = eval_preset("Seq1", &wl, &tight);
         assert!(starved.total_cycles > baseline.total_cycles);
         assert!(starved.counters.total_gb_reads() + starved.counters.total_gb_writes() > baseline.counters.total_gb_reads() + baseline.counters.total_gb_writes());
         // The reported demand itself is capacity-independent.
@@ -1224,19 +1160,5 @@ mod tests {
             );
         }
         assert!(cache.hits() > 0, "shared final tilings must share post sims");
-    }
-
-    #[test]
-    fn evaluate_many_collects() {
-        let wl = small_workload();
-        let cfg = AccelConfig::paper_default();
-        let ctx = wl.tile_context(PhaseOrder::AC);
-        let dfs: Vec<GnnDataflow> = ["Seq1", "SP1"]
-            .iter()
-            .map(|n| Preset::by_name(n).unwrap().concretize(&ctx, 512, 512))
-            .collect();
-        let results = evaluate_many(&wl, dfs.iter(), &cfg);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.is_ok()));
     }
 }

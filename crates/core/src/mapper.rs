@@ -13,7 +13,8 @@ use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{GnnDataflow, InterPhase, IntraTiling, Phase};
 
-use crate::{evaluate, CostReport, GnnWorkload};
+use crate::dse::{dse_verdict, key_cmp, parallel_search, ParallelJob};
+use crate::{evaluate, CostReport, GnnWorkload, PreparedEval};
 
 /// What the mapper minimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
@@ -63,20 +64,27 @@ pub struct SearchResult {
     pub skipped: usize,
 }
 
+/// The PE budgets of the (Aggregation, Combination) phases under `inter`:
+/// PP runs the phases concurrently on a 50-50 split of the array, every other
+/// strategy gives each phase the full array in turn.
+pub(crate) fn phase_pe_budgets(inter: InterPhase, cfg: &AccelConfig) -> (usize, usize) {
+    if inter == InterPhase::ParallelPipeline {
+        (cfg.num_pes / 2, cfg.num_pes / 2)
+    } else {
+        (cfg.num_pes, cfg.num_pes)
+    }
+}
+
+/// `preset` concretised for `workload` within [`phase_pe_budgets`].
+pub(crate) fn concretize_preset(preset: &Preset, workload: &GnnWorkload, cfg: &AccelConfig) -> GnnDataflow {
+    let ctx = workload.tile_context(preset.pattern.phase_order);
+    let (agg_pes, cmb_pes) = phase_pe_budgets(preset.pattern.inter, cfg);
+    preset.concretize(&ctx, agg_pes, cmb_pes)
+}
+
 /// The nine Table V presets concretised for this workload (PP split 50-50).
 pub fn preset_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDataflow> {
-    Preset::all()
-        .iter()
-        .map(|p| {
-            let ctx = workload.tile_context(p.pattern.phase_order);
-            let (a, c) = if p.pattern.inter == InterPhase::ParallelPipeline {
-                (cfg.num_pes / 2, cfg.num_pes / 2)
-            } else {
-                (cfg.num_pes, cfg.num_pes)
-            };
-            p.concretize(&ctx, a, c)
-        })
-        .collect()
+    Preset::all().iter().map(|p| concretize_preset(p, workload, cfg)).collect()
 }
 
 /// Deterministic sample of up to `n` candidates from the full enumerated
@@ -138,19 +146,22 @@ pub fn best_of(
     if candidates.is_empty() {
         return None;
     }
-    let gen = |i: usize| candidates[i];
-    let job = crate::dse::SearchJob {
-        workload,
-        cfg,
-        objective,
+    let job = ParallelJob {
         k: 1,
         threads,
         chunk: candidates.len().div_ceil(threads.max(1)),
+        init_threshold: f64::INFINITY,
+        cancel: None,
     };
-    let (merged, evaluated, skipped) = crate::dse::parallel_top_k(candidates.len(), &gen, &job);
+    let prep = PreparedEval::new(workload, cfg);
+    let score = |dataflow: &GnnDataflow, _index: usize, _thr: f64| {
+        dse_verdict(prep.evaluate_dse(dataflow, None, None), objective)
+    };
+    let (merged, evaluated, skipped, _pruned) =
+        parallel_search(candidates.len(), &|i| candidates[i], &score, &job);
     merged
         .into_iter()
-        .min_by(|a, b| crate::dse::key_cmp((a.0, a.1), (b.0, b.1)))
+        .min_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)))
         .map(|(score, _, dataflow, report)| SearchResult {
             dataflow,
             report,
@@ -166,29 +177,10 @@ pub fn best_of(
 /// members routinely win.
 pub fn extended_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<GnnDataflow> {
     let mut out = preset_candidates(workload, cfg);
-    for p in omega_dataflow::presets::ca_variants() {
-        let ctx = workload.tile_context(p.pattern.phase_order);
-        let (a, c) = if p.pattern.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        };
-        out.push(p.concretize(&ctx, a, c));
-    }
+    out.extend(
+        omega_dataflow::presets::ca_variants().iter().map(|p| concretize_preset(p, workload, cfg)),
+    );
     out
-}
-
-/// One-call search: presets plus `extra_samples` sampled patterns.
-pub fn search(
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-    objective: Objective,
-    extra_samples: usize,
-    threads: usize,
-) -> Option<SearchResult> {
-    let mut candidates = extended_candidates(workload, cfg);
-    candidates.extend(sampled_candidates(workload, cfg, extra_samples, 0));
-    best_of(&candidates, workload, cfg, objective, threads)
 }
 
 #[cfg(test)]
@@ -286,17 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn search_combines_sources() {
-        let cfg = AccelConfig::paper_default();
-        let workload = wl();
-        let result = search(&workload, &cfg, Objective::Runtime, 12, 4).unwrap();
-        // presets + CA variants + samples, every one either evaluated or skipped.
-        assert_eq!(result.evaluated + result.skipped, 9 + 3 + 12);
-        assert_eq!(result.skipped, 0); // all concretised candidates validate
-        assert!(result.score > 0.0);
-    }
-
-    #[test]
     fn extended_candidates_cover_both_compute_orders() {
         use omega_dataflow::PhaseOrder;
         let cfg = AccelConfig::paper_default();
@@ -339,16 +320,8 @@ pub fn refine_tiles(
     let mut evaluated = 1;
     let mut skipped = 0;
 
-    let budgets = |df: &GnnDataflow| -> (usize, usize) {
-        if df.inter == InterPhase::ParallelPipeline {
-            (cfg.num_pes / 2, cfg.num_pes / 2)
-        } else {
-            (cfg.num_pes, cfg.num_pes)
-        }
-    };
-
     for _ in 0..max_steps {
-        let (agg_budget, cmb_budget) = budgets(&current);
+        let (agg_budget, cmb_budget) = phase_pe_budgets(current.inter, cfg);
         let mut best_neighbour: Option<(GnnDataflow, CostReport, f64)> = None;
         for (phase_sel, budget) in [(Phase::Aggregation, agg_budget), (Phase::Combination, cmb_budget)] {
             let tiling = if phase_sel == Phase::Aggregation { current.agg } else { current.cmb };
@@ -401,38 +374,6 @@ fn scaled_tile(tiling: &IntraTiling, pos: usize, grow: bool) -> Option<IntraTili
         tiles[pos] /= 2;
     }
     Some(IntraTiling::new(tiling.phase(), tiling.order(), tiles))
-}
-
-/// The runtime/energy Pareto frontier of a candidate set: every dataflow not
-/// dominated (strictly worse on both axes) by another. Sorted by runtime.
-pub fn pareto_frontier(
-    candidates: &[GnnDataflow],
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-) -> Vec<SearchResult> {
-    let mut evaluated: Vec<(GnnDataflow, CostReport)> = candidates
-        .iter()
-        .filter_map(|df| evaluate(workload, df, cfg).ok().map(|r| (*df, r)))
-        .collect();
-    evaluated.sort_by_key(|(_, r)| r.total_cycles);
-    let mut frontier: Vec<SearchResult> = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    let n = evaluated.len();
-    let skipped = candidates.len() - n;
-    for (df, r) in evaluated {
-        let e = r.energy.total_pj();
-        if e < best_energy {
-            best_energy = e;
-            frontier.push(SearchResult {
-                dataflow: df,
-                score: r.total_cycles as f64,
-                report: r,
-                evaluated: n,
-                skipped,
-            });
-        }
-    }
-    frontier
 }
 
 #[cfg(test)]
@@ -495,29 +436,5 @@ mod extension_tests {
         // The refined tiling still fits the machine.
         assert!(refined.dataflow.agg.pe_footprint() <= cfg.num_pes);
         assert!(refined.dataflow.cmb.pe_footprint() <= cfg.num_pes);
-    }
-
-    #[test]
-    fn pareto_frontier_is_nondominated_and_sorted() {
-        let cfg = AccelConfig::paper_default();
-        let workload = wl();
-        let candidates = preset_candidates(&workload, &cfg);
-        let frontier = pareto_frontier(&candidates, &workload, &cfg);
-        assert!(!frontier.is_empty());
-        assert!(frontier.len() <= candidates.len());
-        // Sorted by runtime, strictly improving in energy.
-        for w in frontier.windows(2) {
-            assert!(w[0].report.total_cycles <= w[1].report.total_cycles);
-            assert!(w[0].report.energy.total_pj() > w[1].report.energy.total_pj());
-        }
-        // No frontier point is dominated by any candidate.
-        for f in &frontier {
-            for df in &candidates {
-                let r = evaluate(&workload, df, &cfg).unwrap();
-                let dominates = r.total_cycles < f.report.total_cycles
-                    && r.energy.total_pj() < f.report.energy.total_pj();
-                assert!(!dominates, "{df} dominates {}", f.dataflow);
-            }
-        }
     }
 }

@@ -13,7 +13,7 @@
 
 use omega_dataflow::{InterPhase, PhaseOrder};
 
-use crate::pipeline::{pipeline_runtime, resample_durations};
+use crate::pipeline::pipelined_cycles;
 use crate::{CostReport, GnnWorkload};
 
 /// A mismatch between a report and the Table III closed forms.
@@ -64,12 +64,7 @@ pub fn runtime_formula(report: &CostReport) -> u64 {
                 PhaseOrder::AC => (&report.agg, &report.cmb),
                 PhaseOrder::CA => (&report.cmb, &report.agg),
             };
-            let p = producer.chunk_durations();
-            let c = consumer.chunk_durations();
-            let k = p.len().max(1);
-            let c = if c.len() == k { c } else { resample_durations(&c, k) };
-            let p = if p.is_empty() { vec![0] } else { p };
-            pipeline_runtime(&p, &c)
+            pipelined_cycles(producer, consumer)
         }
     }
 }
@@ -105,13 +100,7 @@ mod tests {
         let wl = GnnWorkload::gcn_layer(&d, 16);
         let cfg = AccelConfig::paper_default();
         for preset in Preset::all() {
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (256, 256)
-            } else {
-                (512, 512)
-            };
-            let df = preset.concretize(&ctx, a, c);
+            let df = crate::mapper::concretize_preset(&preset, &wl, &cfg);
             let report = evaluate(&wl, &df, &cfg).unwrap();
             verify_report(&report, &wl).unwrap_or_else(|e| panic!("{}: {e}", preset.name));
         }

@@ -11,24 +11,30 @@
 //!   dataflow — changes from layer to layer;
 //! * the algorithm constrains the legal phase orders (GraphSAGE/GIN are AC-only);
 //! * GIN's combination is a 2-layer MLP, adding a third (dense) phase per layer,
-//!   which the evaluator costs as an extra GEMM stage.
+//!   which the lowering costs as an extra GEMM stage.
 //!
-//! [`evaluate_model`] runs one preset across all layers (re-concretised per
-//! layer); [`evaluate_model_mapped`] lets the mapper pick the best preset *per
-//! layer* — the cross-layer face of the paper's flexibility argument.
+//! A whole model evaluates as one multiphase chain: [`to_chain`] lowers each
+//! layer from the very phase plan [`crate::evaluate()`] runs for it, and
+//! [`crate::multiphase::evaluate_chain`] composes the stages. The model-level
+//! explorer of [`crate::dse::model`] searches per-layer dataflows × inter-layer
+//! links over those chains — the cross-layer face of the paper's flexibility
+//! argument; [`uniform_layer_dataflows`] gives the one-preset-everywhere
+//! baseline.
+
+use std::sync::Arc;
 
 use serde::Serialize;
 
-use omega_accel::engine::{simulate_gemm, ElementwiseOp, EngineOptions, GemmDims, OperandClasses};
-use omega_accel::{AccelConfig, AccessCounters, EnergyModel};
+use omega_accel::engine::{ElementwiseOp, GemmDims, OperandClasses};
+use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::tiles::choose_tiling;
 use omega_dataflow::{GnnDataflow, InterPhase, PhaseOrder};
 
-use crate::cost::EnergyBreakdown;
-use crate::mapper::{best_of, preset_candidates, Objective};
+use crate::evaluate::{intermediate_pel, phase_opts, plan, PhaseKey, PhaseOp};
+use crate::mapper::concretize_preset;
 use crate::multiphase::{Chain, ChainError, ChainNode, Link, PartitionSplit, Stage};
-use crate::{evaluate, CostReport, EvalError, GnnWorkload};
+use crate::{EvalError, GnnWorkload};
 
 /// The GNN algorithm, deciding phase-order legality and per-layer structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -167,19 +173,6 @@ impl GnnModel {
     }
 }
 
-/// Evaluation of one model on one graph.
-#[derive(Debug, Clone, Serialize)]
-pub struct ModelReport {
-    /// Per-layer reports, in layer order.
-    pub layers: Vec<CostReport>,
-    /// Extra MLP-GEMM cycles per layer (GIN only; zero otherwise).
-    pub mlp_cycles: Vec<u64>,
-    /// End-to-end cycles (layers are sequential: layer ℓ+1 needs all of ℓ).
-    pub total_cycles: u64,
-    /// Total buffer energy in pJ.
-    pub total_energy_pj: f64,
-}
-
 /// Model-evaluation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
@@ -235,76 +228,15 @@ impl From<ChainError> for ModelError {
     }
 }
 
-/// Evaluates `model` on `base` using one Table V preset for every layer
-/// (re-concretised per layer, since each layer's F/G differ).
-pub fn evaluate_model(
-    model: &GnnModel,
-    base: &GnnWorkload,
-    preset: &Preset,
-    cfg: &AccelConfig,
-) -> Result<ModelReport, ModelError> {
-    let dfs = uniform_layer_dataflows(model, base, preset, cfg)?;
-    let mut layers = Vec::new();
-    let mut mlp_cycles = Vec::new();
-    for (wl, df) in model.layer_workloads(base).iter().zip(&dfs) {
-        let report = evaluate(wl, df, cfg).map_err(ModelError::Layer)?;
-        mlp_cycles.push(mlp_stage(model, wl, &report, cfg));
-        layers.push(report);
-    }
-    Ok(finish(layers, mlp_cycles))
-}
-
-/// Evaluates `model` with the mapper choosing the best preset per layer.
-pub fn evaluate_model_mapped(
-    model: &GnnModel,
-    base: &GnnWorkload,
-    cfg: &AccelConfig,
-    objective: Objective,
-) -> Result<ModelReport, ModelError> {
-    let mut layers = Vec::new();
-    let mut mlp_cycles = Vec::new();
-    for wl in model.layer_workloads(base) {
-        let candidates: Vec<_> = preset_candidates(&wl, cfg)
-            .into_iter()
-            .filter(|df| model.allowed(df.phase_order))
-            .collect();
-        let best = best_of(&candidates, &wl, cfg, objective, 4)
-            .ok_or(ModelError::Layer(EvalError::Invalid(
-                omega_dataflow::ValidationError::BrokenSpOptimizedTiles { detail: "no candidates" },
-            )))?;
-        mlp_cycles.push(mlp_stage(model, &wl, &best.report, cfg));
-        layers.push(best.report);
-    }
-    Ok(finish(layers, mlp_cycles))
-}
-
 impl GnnModel {
     fn allowed(&self, order: PhaseOrder) -> bool {
         self.algorithm.allowed_phase_orders().contains(&order)
     }
 }
 
-/// GIN's second MLP GEMM (`V×G · G×mlp_hidden`), costed with the layer's
-/// combination tiling on the full array. Returns `(cycles, energy_pj)`.
-fn mlp_stage(model: &GnnModel, wl: &GnnWorkload, report: &CostReport, cfg: &AccelConfig) -> (u64, f64) {
-    let Algorithm::GinConv { mlp_hidden } = model.algorithm else {
-        return (0, 0.0);
-    };
-    let dims = GemmDims { v: wl.v, f: wl.g, g: mlp_hidden };
-    let stats = simulate_gemm(
-        dims,
-        &report.dataflow.cmb,
-        cfg,
-        &OperandClasses::combination_ac(),
-        &EngineOptions::plain(cfg.full_bandwidth()),
-    );
-    let energy = EnergyBreakdown::from_counters(&stats.counters, &EnergyModel::paper_default(), None);
-    (stats.cycles, energy.total_pj())
-}
-
 /// Concretises `preset` for every layer of `model` (PP split 50-50) — the
-/// per-layer dataflows a *uniform* fixed-preset accelerator would run, shared
-/// by [`evaluate_model`] and the uniform baseline of the model-level explorer.
+/// per-layer dataflows a *uniform* fixed-preset accelerator would run, the
+/// baseline of the model-level explorer.
 pub fn uniform_layer_dataflows(
     model: &GnnModel,
     base: &GnnWorkload,
@@ -314,19 +246,7 @@ pub fn uniform_layer_dataflows(
     if !model.allowed(preset.pattern.phase_order) {
         return Err(ModelError::PhaseOrderNotAllowed { order: preset.pattern.phase_order });
     }
-    Ok(model
-        .layer_workloads(base)
-        .iter()
-        .map(|wl| {
-            let ctx = wl.tile_context(preset.pattern.phase_order);
-            let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                (cfg.num_pes / 2, cfg.num_pes / 2)
-            } else {
-                (cfg.num_pes, cfg.num_pes)
-            };
-            preset.concretize(&ctx, a, c)
-        })
-        .collect())
+    Ok(model.layer_workloads(base).iter().map(|wl| concretize_preset(preset, wl, cfg)).collect())
 }
 
 impl GnnModel {
@@ -350,33 +270,45 @@ fn fit_stage(stage: &mut Stage, ctx: &omega_dataflow::tiles::TileContext, budget
         return;
     }
     let pattern = stage.tiling().to_pattern();
-    let fitted = choose_tiling(&pattern, ctx, budget, &crate::dse::balanced_policy(&pattern));
-    match &mut stage.kind {
-        crate::multiphase::StageKind::Gemm { tiling, .. }
-        | crate::multiphase::StageKind::Spmm { tiling, .. }
-        | crate::multiphase::StageKind::Sddmm { tiling, .. }
-        | crate::multiphase::StageKind::Elementwise { tiling, .. } => *tiling = fitted,
-    }
+    stage.key.tiling =
+        choose_tiling(&pattern, ctx, budget, &crate::dse::balanced_policy(&pattern));
 }
 
-/// Lowers a whole GNN model onto a multiphase [`Chain`]: one SpMM + one GEMM
-/// stage per layer in the layer dataflow's phase order (plus GIN's MLP GEMM),
-/// intra-layer links derived from each dataflow's inter-phase strategy
-/// (`Seq`/`SP` → [`Link::Sequential`] with SP-Optimized residency flags, `PP` →
-/// a partitioned [`Link::Pipelined`] at the paper's `Pel`), and the given
-/// inter-layer links woven between layer boundaries.
+/// Lowers a whole GNN model onto a multiphase [`Chain`]: each layer's stages
+/// are the phase simulations [`crate::evaluate()`] plans for it (GAT's SDDMM,
+/// the SpMM + GEMM pair in the layer's phase order, the elementwise post
+/// phase) plus GIN's MLP GEMM; the pair's link follows the dataflow's
+/// inter-phase strategy (`Seq`/`SP` → [`Link::Sequential`], residency
+/// planned in the stages; `PP` → a partitioned [`Link::Pipelined`] at the
+/// paper's `Pel`), and the given inter-layer links are woven between layer
+/// boundaries.
 ///
 /// A partitioned inter-layer link re-tiles the boundary stages to fit their PE
-/// allocations (same pattern, balanced growth). The lowering is cycle-faithful
-/// to [`evaluate`]: a chain with all-`Sequential` inter-layer links reproduces
-/// [`evaluate_model`]'s end-to-end cycle count exactly (chain energy is coarser
-/// — all non-RF traffic at GB rate, no partition discount).
+/// allocations (same pattern, balanced growth). Because the stages *are* the
+/// layer plans, a chain with all-`Sequential` inter-layer links reproduces the
+/// sum of the per-layer [`crate::evaluate()`] cycle counts (plus GIN's MLP
+/// stages) exactly; chain energy is coarser — all non-RF traffic at GB rate,
+/// no partition discount.
 pub fn to_chain(
     model: &GnnModel,
     base: &GnnWorkload,
     layer_dataflows: &[GnnDataflow],
     inter_links: &[Link],
     cfg: &AccelConfig,
+) -> Result<Chain, ModelError> {
+    lower(model, base, layer_dataflows, inter_links, cfg, &Arc::from(base.degrees.as_slice()))
+}
+
+/// [`to_chain`] with every sparse stage walking `graph` — the base
+/// workload's degrees, shared so one preparation serves every stage (and, in a
+/// model search, every lowered mapping).
+pub(crate) fn lower(
+    model: &GnnModel,
+    base: &GnnWorkload,
+    layer_dataflows: &[GnnDataflow],
+    inter_links: &[Link],
+    cfg: &AccelConfig,
+    graph: &Arc<[usize]>,
 ) -> Result<Chain, ModelError> {
     let wls = model.layer_workloads(base);
     if layer_dataflows.len() != wls.len() {
@@ -389,71 +321,43 @@ pub fn to_chain(
         });
     }
 
-    // Build each layer's stage list first (validation + phase order gates).
+    // Build each layer's stage list first (phase order gate + the layer plan,
+    // which validates the dataflow).
     let mut layer_stages: Vec<Vec<Stage>> = Vec::with_capacity(wls.len());
     for (wl, df) in wls.iter().zip(layer_dataflows) {
         if !model.allowed(df.phase_order) {
             return Err(ModelError::PhaseOrderNotAllowed { order: df.phase_order });
         }
-        omega_dataflow::validate(df).map_err(|e| ModelError::Layer(EvalError::Invalid(e)))?;
-        let sp_opt = df.is_sp_optimized();
-        let gemm_dims = GemmDims { v: wl.v, f: wl.f, g: wl.g };
-        let agg_width = match df.phase_order {
-            PhaseOrder::AC => wl.f,
-            PhaseOrder::CA => wl.g,
+        let plan = plan(wl, cfg, df).map_err(ModelError::Layer)?;
+        let stage = |suffix: &str, key: PhaseKey, sparse: bool| Stage {
+            name: format!("{}.{suffix}", wl.name),
+            key,
+            sparse: sparse.then(|| Arc::clone(graph)),
         };
-        let agg = Stage::spmm(format!("{}.agg", wl.name), wl.degrees.clone(), agg_width, df.agg);
-        let cmb = Stage::gemm(format!("{}.cmb", wl.name), gemm_dims, df.cmb);
-        let (first, second) = match df.phase_order {
-            PhaseOrder::AC => (agg, cmb),
-            PhaseOrder::CA => (cmb, agg),
-        };
-        let (first, second) = if sp_opt {
-            (first.with_residency(false, true), second.with_residency(true, false))
-        } else {
-            (first, second)
-        };
-        let mut stages = vec![first, second];
-        if let Some(op) = model.activation {
-            // The elementwise post-phase streams the layer's V×G output on the
-            // final matrix phase's tiling, exactly as `evaluate` plans it — a
-            // sequential suffix to the phase pair.
-            let post_tiling = match df.phase_order {
-                PhaseOrder::AC => df.cmb,
-                PhaseOrder::CA => df.agg,
-            };
-            stages.push(Stage::elementwise(
-                format!("{}.post", wl.name),
-                wl.v,
-                wl.g,
-                op,
-                post_tiling,
-            ));
+        let (mut agg, mut cmb) = (plan.agg, plan.cmb);
+        if df.phase_order == PhaseOrder::CA {
+            // Chain stages label their traffic by stage kind alone: the pair
+            // keeps the AC-order operand classes whatever the layer's order.
+            agg.classes = OperandClasses::aggregation_ac();
+            cmb.classes = OperandClasses::combination_ac();
         }
+        let (agg, cmb) = (stage("agg", agg, true), stage("cmb", cmb, false));
+        let mut stages: Vec<Stage> = plan.sddmm.map(|k| stage("att", k, true)).into_iter().collect();
+        match df.phase_order {
+            PhaseOrder::AC => stages.extend([agg, cmb]),
+            PhaseOrder::CA => stages.extend([cmb, agg]),
+        }
+        stages.extend(plan.post.map(|k| stage("post", k, false)));
         if let Algorithm::GinConv { mlp_hidden } = model.algorithm {
-            let dims = GemmDims { v: wl.v, f: wl.g, g: mlp_hidden };
-            stages.push(Stage::gemm(format!("{}.mlp", wl.name), dims, df.cmb));
-        }
-        if let Some(att) = model.algorithm.attention() {
-            // GAT: the SDDMM scoring stage precedes the (AC-ordered)
-            // aggregation. Its tiling is the layer's Aggregation tiling, which
-            // must satisfy the SDDMM loop-order rule; when the layer is
-            // SP-Optimized the scores stay in the RFs and the aggregation
-            // gathers them in place (the reused-score residency pair).
-            omega_dataflow::validate_sddmm(&df.agg)
-                .map_err(|e| ModelError::Layer(EvalError::Invalid(e)))?;
-            let mut sddmm = Stage::sddmm(
-                format!("{}.att", wl.name),
-                wl.degrees.clone(),
-                att.dot_width(wl.f),
-                att.heads,
-                df.agg,
-            );
-            if sp_opt {
-                sddmm = sddmm.with_residency(false, true);
-            }
-            stages[0] = stages[0].clone().with_scores(sp_opt);
-            stages.insert(0, sddmm);
+            // GIN's second MLP GEMM (`V×G · G×mlp_hidden`) on the layer's
+            // combination tiling: a barrier after the layer.
+            let key = PhaseKey {
+                op: PhaseOp::Gemm(GemmDims { v: wl.v, f: wl.g, g: mlp_hidden }),
+                tiling: df.cmb,
+                classes: OperandClasses::combination_ac(),
+                opts: phase_opts(cfg),
+            };
+            stages.push(stage("mlp", key, false));
         }
         layer_stages.push(stages);
     }
@@ -492,7 +396,7 @@ pub fn to_chain(
         }
         // The Aggregation/Combination phase pair sits after GAT's leading
         // SDDMM stage, if any.
-        let pair = usize::from(model.algorithm.attention().is_some());
+        let pair = usize::from(wl.attention.is_some());
         // Intra-layer link between the phase pair, from (possibly re-tiled)
         // stage tilings so Pel and the PP split match what runs.
         let effective = GnnDataflow {
@@ -509,7 +413,7 @@ pub fn to_chain(
         let intra = match df.inter {
             InterPhase::Sequential | InterPhase::SequentialPipeline => Link::Sequential,
             InterPhase::ParallelPipeline => {
-                let pel = crate::evaluate::intermediate_pel(wl, &effective)
+                let pel = intermediate_pel(wl, &effective)
                     .expect("validated PP dataflow has a granularity");
                 Link::Pipelined {
                     pel,
@@ -534,26 +438,43 @@ pub fn to_chain(
     Ok(Chain { nodes, links })
 }
 
-fn finish(layers: Vec<CostReport>, mlp: Vec<(u64, f64)>) -> ModelReport {
-    let mlp_cycles: Vec<u64> = mlp.iter().map(|&(c, _)| c).collect();
-    let total_cycles =
-        layers.iter().map(|l| l.total_cycles).sum::<u64>() + mlp_cycles.iter().sum::<u64>();
-    let mut counters = AccessCounters::default();
-    for l in &layers {
-        counters.merge(&l.counters);
-    }
-    let total_energy_pj = layers.iter().map(|l| l.energy.total_pj()).sum::<f64>()
-        + mlp.iter().map(|&(_, e)| e).sum::<f64>();
-    ModelReport { layers, mlp_cycles, total_cycles, total_energy_pj }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiphase::{evaluate_chain, ChainReport};
+    use crate::{evaluate, CostReport};
     use omega_graph::DatasetSpec;
 
     fn base() -> GnnWorkload {
         GnnWorkload::gcn_layer(&DatasetSpec::cora().generate(3), 16)
+    }
+
+    /// `preset` on every layer, sequential between layers, as one chain.
+    fn uniform_chain(
+        model: &GnnModel,
+        b: &GnnWorkload,
+        preset: &Preset,
+        cfg: &AccelConfig,
+    ) -> ChainReport {
+        let dfs = uniform_layer_dataflows(model, b, preset, cfg).unwrap();
+        let links = vec![Link::Sequential; dfs.len() - 1];
+        evaluate_chain(&to_chain(model, b, &dfs, &links, cfg).unwrap(), cfg).unwrap()
+    }
+
+    /// The per-layer [`evaluate`] reports of `preset` on every layer.
+    fn layer_reports(
+        model: &GnnModel,
+        b: &GnnWorkload,
+        preset: &Preset,
+        cfg: &AccelConfig,
+    ) -> Vec<CostReport> {
+        let dfs = uniform_layer_dataflows(model, b, preset, cfg).unwrap();
+        let wls = model.layer_workloads(b);
+        wls.iter().zip(&dfs).map(|(wl, df)| evaluate(wl, df, cfg).unwrap()).collect()
+    }
+
+    fn layer_cycles(model: &GnnModel, b: &GnnWorkload, preset: &Preset, cfg: &AccelConfig) -> u64 {
+        layer_reports(model, b, preset, cfg).iter().map(|r| r.total_cycles).sum()
     }
 
     #[test]
@@ -571,12 +492,12 @@ mod tests {
         let model = GnnModel::gcn_2layer(7);
         let preset = Preset::by_name("SP2").unwrap();
         let cfg = AccelConfig::paper_default();
-        let r = evaluate_model(&model, &base(), &preset, &cfg).unwrap();
-        assert_eq!(r.layers.len(), 2);
-        assert_eq!(r.total_cycles, r.layers[0].total_cycles + r.layers[1].total_cycles);
+        let layers = layer_reports(&model, &base(), &preset, &cfg);
+        let r = uniform_chain(&model, &base(), &preset, &cfg);
+        assert_eq!(r.total_cycles, layers[0].total_cycles + layers[1].total_cycles);
         // Layer 2 is much cheaper (F = 16 instead of 1433).
-        assert!(r.layers[1].total_cycles < r.layers[0].total_cycles / 4);
-        assert!(r.total_energy_pj > 0.0);
+        assert!(layers[1].total_cycles < layers[0].total_cycles / 4);
+        assert!(r.energy.total_pj() > 0.0);
     }
 
     #[test]
@@ -590,18 +511,38 @@ mod tests {
         assert!(!model.allowed(PhaseOrder::CA));
     }
 
+    /// GIN's MLP GEMM of every layer, simulated on its own.
+    fn gin_mlp_cycles(model: &GnnModel, b: &GnnWorkload, preset: &Preset, cfg: &AccelConfig) -> Vec<u64> {
+        use omega_accel::engine::{simulate_gemm, EngineOptions};
+        let Algorithm::GinConv { mlp_hidden } = model.algorithm else { unreachable!() };
+        let dfs = uniform_layer_dataflows(model, b, preset, cfg).unwrap();
+        let wls = model.layer_workloads(b);
+        wls.iter()
+            .zip(&dfs)
+            .map(|(wl, df)| {
+                let dims = GemmDims { v: wl.v, f: wl.g, g: mlp_hidden };
+                let opts = EngineOptions::plain(cfg.full_bandwidth());
+                simulate_gemm(dims, &df.cmb, cfg, &OperandClasses::combination_ac(), &opts).cycles
+            })
+            .collect()
+    }
+
     #[test]
     fn gin_adds_mlp_stages() {
         let model = GnnModel::gin(3, 64);
         let preset = Preset::by_name("Seq1").unwrap();
         let cfg = AccelConfig::paper_default();
         let small = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 64);
-        let r = evaluate_model(&model, &small, &preset, &cfg).unwrap();
-        assert_eq!(r.layers.len(), 3);
-        assert_eq!(r.mlp_cycles.len(), 3);
-        assert!(r.mlp_cycles.iter().all(|&c| c > 0), "{:?}", r.mlp_cycles);
-        let layer_sum: u64 = r.layers.iter().map(|l| l.total_cycles).sum();
-        assert_eq!(r.total_cycles, layer_sum + r.mlp_cycles.iter().sum::<u64>());
+        let r = uniform_chain(&model, &small, &preset, &cfg);
+        let mlp: Vec<u64> = r
+            .stages
+            .iter()
+            .filter(|(name, _)| name.ends_with(".mlp"))
+            .map(|(_, s)| s.cycles)
+            .collect();
+        assert_eq!(mlp.len(), 3);
+        assert!(mlp.iter().all(|&c| c > 0), "{mlp:?}");
+        assert_eq!(mlp, gin_mlp_cycles(&model, &small, &preset, &cfg));
     }
 
     #[test]
@@ -613,12 +554,10 @@ mod tests {
         let model = GnnModel::gcn_2layer(7);
         let b = base();
         for preset in Preset::all() {
-            let per_layer = evaluate_model(&model, &b, &preset, &cfg).unwrap();
-            let dfs = uniform_layer_dataflows(&model, &b, &preset, &cfg).unwrap();
-            let chain = to_chain(&model, &b, &dfs, &[Link::Sequential], &cfg).unwrap();
-            let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+            let r = uniform_chain(&model, &b, &preset, &cfg);
             assert_eq!(
-                r.total_cycles, per_layer.total_cycles,
+                r.total_cycles,
+                layer_cycles(&model, &b, &preset, &cfg),
                 "{}: chain lowering drifted from evaluate()",
                 preset.name
             );
@@ -635,18 +574,17 @@ mod tests {
         for op in [ElementwiseOp::Activation, ElementwiseOp::LayerNorm] {
             let model = GnnModel::gcn_2layer(7).with_activation(op);
             for preset in Preset::all() {
-                let per_layer = evaluate_model(&model, &b, &preset, &cfg).unwrap();
-                let dfs = uniform_layer_dataflows(&model, &b, &preset, &cfg).unwrap();
-                let chain = to_chain(&model, &b, &dfs, &[Link::Sequential], &cfg).unwrap();
-                let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+                let layers = layer_reports(&model, &b, &preset, &cfg);
+                let r = uniform_chain(&model, &b, &preset, &cfg);
                 assert_eq!(r.stages.len(), 6, "{}: 2 layers x (agg+cmb+post)", preset.name);
                 assert_eq!(
-                    r.total_cycles, per_layer.total_cycles,
+                    r.total_cycles,
+                    layers.iter().map(|l| l.total_cycles).sum::<u64>(),
                     "{}/{op}: activation chain lowering drifted from evaluate()",
                     preset.name
                 );
                 // Each layer report carries its post suffix.
-                for l in &per_layer.layers {
+                for l in &layers {
                     let post = l.post.as_ref().expect("activation layers have post stats");
                     assert!(post.cycles > 0);
                 }
@@ -659,23 +597,12 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let b = base();
         let preset = Preset::by_name("SP2").unwrap();
-        let plain = evaluate_model(&GnnModel::gcn_2layer(7), &b, &preset, &cfg).unwrap();
-        let act = evaluate_model(
-            &GnnModel::gcn_2layer(7).with_activation(ElementwiseOp::Activation),
-            &b,
-            &preset,
-            &cfg,
-        )
-        .unwrap();
-        let norm = evaluate_model(
-            &GnnModel::gcn_2layer(7).with_activation(ElementwiseOp::LayerNorm),
-            &b,
-            &preset,
-            &cfg,
-        )
-        .unwrap();
-        assert!(act.total_cycles > plain.total_cycles);
-        assert!(norm.total_cycles > act.total_cycles);
+        let cycles = |model: GnnModel| uniform_chain(&model, &b, &preset, &cfg).total_cycles;
+        let plain = cycles(GnnModel::gcn_2layer(7));
+        let act = cycles(GnnModel::gcn_2layer(7).with_activation(ElementwiseOp::Activation));
+        let norm = cycles(GnnModel::gcn_2layer(7).with_activation(ElementwiseOp::LayerNorm));
+        assert!(act > plain);
+        assert!(norm > act);
     }
 
     #[test]
@@ -684,13 +611,10 @@ mod tests {
         let model = GnnModel::gin(3, 64);
         let small = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 64);
         let preset = Preset::by_name("SP2").unwrap();
-        let per_layer = evaluate_model(&model, &small, &preset, &cfg).unwrap();
-        let dfs = uniform_layer_dataflows(&model, &small, &preset, &cfg).unwrap();
-        let chain =
-            to_chain(&model, &small, &dfs, &[Link::Sequential, Link::Sequential], &cfg).unwrap();
-        let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+        let r = uniform_chain(&model, &small, &preset, &cfg);
         assert_eq!(r.stages.len(), 9); // 3 layers × (agg + cmb + mlp)
-        assert_eq!(r.total_cycles, per_layer.total_cycles);
+        let mlp: u64 = gin_mlp_cycles(&model, &small, &preset, &cfg).iter().sum();
+        assert_eq!(r.total_cycles, layer_cycles(&model, &small, &preset, &cfg) + mlp);
     }
 
     #[test]
@@ -766,13 +690,11 @@ mod tests {
         let model = GnnModel::gat_2layer(4, 7);
         let small = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 64);
         for preset in Preset::all() {
-            let per_layer = evaluate_model(&model, &small, &preset, &cfg).unwrap();
-            let dfs = uniform_layer_dataflows(&model, &small, &preset, &cfg).unwrap();
-            let chain = to_chain(&model, &small, &dfs, &[Link::Sequential], &cfg).unwrap();
-            let r = crate::multiphase::evaluate_chain(&chain, &cfg).unwrap();
+            let r = uniform_chain(&model, &small, &preset, &cfg);
             assert_eq!(r.stages.len(), 6); // 2 layers × (att + agg + cmb)
             assert_eq!(
-                r.total_cycles, per_layer.total_cycles,
+                r.total_cycles,
+                layer_cycles(&model, &small, &preset, &cfg),
                 "{}: GAT chain lowering drifted from evaluate()",
                 preset.name
             );
@@ -784,8 +706,8 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let small = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 64);
         let preset = Preset::by_name("Seq1").unwrap();
-        let gat = evaluate_model(&GnnModel::gat_2layer(4, 7), &small, &preset, &cfg).unwrap();
-        let gcn = evaluate_model(
+        let gat = uniform_chain(&GnnModel::gat_2layer(4, 7), &small, &preset, &cfg);
+        let gcn = uniform_chain(
             &GnnModel {
                 name: "GCN-2w".into(),
                 algorithm: Algorithm::Gcn,
@@ -795,19 +717,7 @@ mod tests {
             &small,
             &preset,
             &cfg,
-        )
-        .unwrap();
+        );
         assert!(gat.total_cycles > gcn.total_cycles);
-    }
-
-    #[test]
-    fn mapper_can_pick_different_dataflows_per_layer() {
-        let model = GnnModel::gcn_2layer(7);
-        let cfg = AccelConfig::paper_default();
-        let fixed = evaluate_model(&model, &base(), &Preset::by_name("Seq1").unwrap(), &cfg).unwrap();
-        let mapped = evaluate_model_mapped(&model, &base(), &cfg, Objective::Runtime).unwrap();
-        assert!(mapped.total_cycles <= fixed.total_cycles);
-        // Both layers were actually searched.
-        assert_eq!(mapped.layers.len(), 2);
     }
 }

@@ -5,8 +5,18 @@
 //! One immediate example is Deep Learning Recommendation Models that is built
 //! of an SpMM and a DenseGEMM in parallel followed by concatenation followed by
 //! a DenseGEMM." This module models such chains: stages are individual
-//! GEMM/SpMM phase runs, grouped sequentially, pipelined pairwise (the SP/PP
-//! composition), or in parallel on partitioned PEs (the DLRM front end).
+//! GEMM/SpMM/SDDMM/elementwise phase runs, grouped sequentially, pipelined
+//! pairwise (the SP/PP composition), or in parallel on partitioned PEs (the
+//! DLRM front end).
+//!
+//! A stage is a name plus the same phase plan (`PhaseKey`) a layer
+//! evaluation runs, over a shared sparse operand: the chain plans each
+//! stage's NoC share and chunk spec from its links with the code
+//! [`crate::evaluate()`] plans a PP layer with, runs every stage through the
+//! same simulation dispatch, and composes the steps with the same
+//! recurrence. Only the pricing is the chain's own: all non-RF traffic at the
+//! GB rate, and the ping-pong buffer of each pipelined link in the
+//! working-set peak.
 //!
 //! Pipelined links come in two flavours:
 //!
@@ -19,113 +29,59 @@
 //! Whole GNN models lower onto chains via [`crate::models::to_chain`], which
 //! the model-level explorer of [`crate::dse::model`] searches over.
 
+use std::sync::Arc;
+
 use serde::Serialize;
 
 use omega_accel::engine::{
-    simulate_elementwise, simulate_gemm, simulate_sddmm, simulate_spmm, ChunkSide, ChunkSpec,
-    ElementwiseOp, ElementwiseWorkload, EngineOptions, GemmDims, OperandClasses, SddmmWorkload,
-    SpmmWorkload,
+    ChunkSide, ElementwiseOp, ElementwiseWorkload, EngineOptions, GemmDims, OperandClasses,
+    PreparedSpmm,
 };
-use omega_accel::{AccelConfig, AccessCounters, EnergyModel, OperandClass, PhaseStats};
+use omega_accel::{
+    AccelConfig, AccessCounters, BandwidthShare, EnergyModel, OperandClass, PhaseStats,
+};
 use omega_dataflow::IntraTiling;
 
 use crate::cost::EnergyBreakdown;
-use crate::pipeline::{pipeline_runtime, resample_durations};
+use crate::evaluate::{phase_opts, simulate_cached, PhaseKey, PhaseOp};
+use crate::pipeline::Composition;
+use crate::PhaseSimCache;
 
-/// One kernel stage of a multiphase chain.
-#[derive(Debug, Clone)]
-pub enum StageKind {
-    /// A dense GEMM with the given dimensions and Combination tiling.
-    Gemm {
-        /// Matrix dimensions.
-        dims: GemmDims,
-        /// Concrete tiling (Combination phase).
-        tiling: IntraTiling,
-    },
-    /// A sparse SpMM with the given row degrees, dense width, and Aggregation
-    /// tiling.
-    Spmm {
-        /// Stored non-zeros per row.
-        degrees: Vec<usize>,
-        /// Dense operand width.
-        width: usize,
-        /// Concrete tiling (Aggregation phase).
-        tiling: IntraTiling,
-    },
-    /// An SDDMM attention-scoring stage (per-edge dot products masked to the
-    /// adjacency, plus the edge-wise softmax) with a `V`/`F`/`N` tiling.
-    Sddmm {
-        /// Stored non-zeros per row.
-        degrees: Vec<usize>,
-        /// Per-head dot-product length.
-        dot_width: usize,
-        /// Attention heads.
-        heads: usize,
-        /// Concrete tiling (Aggregation dimension set; must satisfy
-        /// `omega_dataflow::validate_sddmm`).
-        tiling: IntraTiling,
-    },
-    /// A streaming elementwise/normalization stage (activation, LayerNorm)
-    /// over a `rows × width` matrix — a GNN layer's post-phase in a lowered
-    /// chain.
-    Elementwise {
-        /// Rows of the operand matrix.
-        rows: usize,
-        /// Columns of the operand matrix.
-        width: usize,
-        /// The operation applied.
-        op: ElementwiseOp,
-        /// Concrete tiling (either phase's shape; every loop order is legal).
-        tiling: IntraTiling,
-    },
-}
-
-/// A named stage.
+/// A named stage of a multiphase chain: one phase simulation over an
+/// optional sparse operand.
 #[derive(Debug, Clone)]
 pub struct Stage {
     /// Stage label (for reports).
     pub name: String,
-    /// The kernel.
-    pub kind: StageKind,
-    /// The streaming input is already resident in the PE register files
-    /// (SP-Optimized consumer): no GB reads or distribution stalls for it.
-    pub input_resident: bool,
-    /// The produced matrix stays in the PE register files (SP-Optimized
-    /// producer): no GB writes or collection stalls for it.
-    pub output_stays_local: bool,
-    /// This SpMM stage gathers SDDMM-produced attention scores as its
-    /// per-edge values (their traffic lands in the `Score` bucket). Meaningful
-    /// on SpMM stages only.
-    pub gathers_scores: bool,
-    /// The gathered per-edge values (attention scores) are RF-resident — the
-    /// preceding SDDMM stage kept them local — so only the CSR structure is
-    /// fetched. Meaningful on SpMM stages only; implies [`Self::gathers_scores`].
-    pub scores_resident: bool,
+    /// The phase simulation. Its NoC share, chunk spec and storage budget
+    /// are placeholders until [`evaluate_chain`] plans them from the stage's
+    /// links and the machine.
+    pub(crate) key: PhaseKey,
+    /// The row degrees an SpMM/SDDMM stage walks (`None` for dense stages).
+    /// Stages over the same adjacency share one allocation, so one
+    /// preparation serves them all.
+    pub(crate) sparse: Option<Arc<[usize]>>,
+}
+
+/// Engine options of a freshly built stage: nothing resident. The NoC share,
+/// chunk spec and storage budget are planned at evaluation time.
+fn stage_opts() -> EngineOptions {
+    EngineOptions::plain(BandwidthShare { dist: 0, red: 0 })
 }
 
 impl Stage {
     /// Builds a GEMM stage.
     pub fn gemm(name: impl Into<String>, dims: GemmDims, tiling: IntraTiling) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Gemm { dims, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let classes = OperandClasses::combination_ac();
+        let key = PhaseKey { op: PhaseOp::Gemm(dims), tiling, classes, opts: stage_opts() };
+        Stage { name: name.into(), key, sparse: None }
     }
 
     /// Builds an SpMM stage.
     pub fn spmm(name: impl Into<String>, degrees: Vec<usize>, width: usize, tiling: IntraTiling) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Spmm { degrees, width, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let classes = OperandClasses::aggregation_ac();
+        let key = PhaseKey { op: PhaseOp::Spmm { width }, tiling, classes, opts: stage_opts() };
+        Stage { name: name.into(), key, sparse: Some(degrees.into()) }
     }
 
     /// Builds an SDDMM attention-scoring stage.
@@ -136,14 +92,10 @@ impl Stage {
         heads: usize,
         tiling: IntraTiling,
     ) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Sddmm { degrees, dot_width, heads, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let classes = OperandClasses::sddmm();
+        let op = PhaseOp::Sddmm { dot_width, heads };
+        let key = PhaseKey { op, tiling, classes, opts: stage_opts() };
+        Stage { name: name.into(), key, sparse: Some(degrees.into()) }
     }
 
     /// Builds an elementwise/normalization stage.
@@ -154,118 +106,87 @@ impl Stage {
         op: ElementwiseOp,
         tiling: IntraTiling,
     ) -> Self {
-        Stage {
-            name: name.into(),
-            kind: StageKind::Elementwise { rows, width, op, tiling },
-            input_resident: false,
-            output_stays_local: false,
-            gathers_scores: false,
-            scores_resident: false,
-        }
+        let key = PhaseKey {
+            op: PhaseOp::Elementwise(ElementwiseWorkload { rows, width, op }),
+            tiling,
+            classes: OperandClasses::elementwise_on(OperandClass::Output),
+            opts: stage_opts(),
+        };
+        Stage { name: name.into(), key, sparse: None }
     }
 
     /// Same stage with SP-Optimized residency flags (intermediate pinned in the
     /// RFs on the flagged side).
     pub fn with_residency(mut self, input_resident: bool, output_stays_local: bool) -> Self {
-        self.input_resident = input_resident;
-        self.output_stays_local = output_stays_local;
+        self.key.opts.input_resident = input_resident;
+        self.key.opts.output_stays_local = output_stays_local;
         self
     }
 
     /// Same stage marked as gathering attention scores as its per-edge values
-    /// (`resident` additionally keeps them in the RFs — pairs with an SDDMM
-    /// producer whose [`Self::with_residency`] kept its output local).
+    /// (their traffic lands in the `EdgeScore` bucket of an SpMM stage);
+    /// `resident` additionally keeps them in the RFs — pairs with an SDDMM
+    /// producer whose [`Self::with_residency`] kept its output local.
     pub fn with_scores(mut self, resident: bool) -> Self {
-        self.gathers_scores = true;
-        self.scores_resident = resident;
+        if let PhaseOp::Spmm { .. } = self.key.op {
+            self.key.classes = OperandClasses::aggregation_gat();
+        }
+        self.key.opts.scores_resident = resident;
         self
-    }
-
-    fn run(&self, cfg: &AccelConfig, opts: &EngineOptions) -> PhaseStats {
-        let mut opts = *opts;
-        opts.input_resident |= self.input_resident;
-        opts.output_stays_local |= self.output_stays_local;
-        opts.scores_resident |= self.scores_resident;
-        match &self.kind {
-            StageKind::Gemm { dims, tiling } => {
-                simulate_gemm(*dims, tiling, cfg, &OperandClasses::combination_ac(), &opts)
-            }
-            StageKind::Spmm { degrees, width, tiling } => {
-                let wl = SpmmWorkload { degrees, feature_width: *width };
-                let classes = if self.gathers_scores || self.scores_resident {
-                    OperandClasses::aggregation_gat()
-                } else {
-                    OperandClasses::aggregation_ac()
-                };
-                simulate_spmm(&wl, tiling, cfg, &classes, &opts)
-            }
-            StageKind::Sddmm { degrees, dot_width, heads, tiling } => {
-                let wl = SddmmWorkload { degrees, dot_width: *dot_width, heads: *heads };
-                simulate_sddmm(&wl, tiling, cfg, &OperandClasses::sddmm(), &opts)
-            }
-            StageKind::Elementwise { rows, width, op, tiling } => {
-                let wl = ElementwiseWorkload { rows: *rows, width: *width, op: *op };
-                let classes = OperandClasses::elementwise_on(OperandClass::Output);
-                simulate_elementwise(&wl, tiling, cfg, &classes, &opts)
-            }
-        }
-    }
-
-    /// Output elements of this stage (drives pipelined chunking).
-    pub fn output_elems(&self) -> u64 {
-        match &self.kind {
-            StageKind::Gemm { dims, .. } => dims.v as u64 * dims.g as u64,
-            StageKind::Spmm { degrees, width, .. } => degrees.len() as u64 * *width as u64,
-            StageKind::Sddmm { degrees, heads, .. } => {
-                (*heads).max(1) as u64 * degrees.iter().map(|&d| d as u64).sum::<u64>()
-            }
-            StageKind::Elementwise { rows, width, .. } => *rows as u64 * *width as u64,
-        }
     }
 
     /// The stage's concrete tiling.
     pub fn tiling(&self) -> &IntraTiling {
-        match &self.kind {
-            StageKind::Gemm { tiling, .. }
-            | StageKind::Spmm { tiling, .. }
-            | StageKind::Sddmm { tiling, .. }
-            | StageKind::Elementwise { tiling, .. } => tiling,
-        }
+        &self.key.tiling
     }
 
     /// PEs the stage's tiling occupies.
     pub fn pe_footprint(&self) -> usize {
         self.tiling().pe_footprint()
     }
+}
 
-    /// The `Pel` the engine should count on the consume side: the SpMM engine
-    /// tracks consumption in edge-visit units (a consumer gathers arbitrary
-    /// rows), so convert intermediate elements accordingly (same conversion as
-    /// [`evaluate`](crate::evaluate())'s PP path); GEMM consumes in element
-    /// units directly.
-    fn consume_pel(&self, pel_elems: u64) -> u64 {
-        match &self.kind {
-            StageKind::Gemm { .. } => pel_elems.max(1),
-            StageKind::Spmm { degrees, width, .. } => {
-                let total_elems = degrees.len() as u64 * *width as u64;
-                let total_visits: u64 =
-                    degrees.iter().map(|&d| d as u64).sum::<u64>() * *width as u64;
-                crate::evaluate::scale_elems_to_visits(pel_elems, total_elems, total_visits)
+/// The distinct sparse operands of a chain evaluation, each prepared once:
+/// every stage walking an operand shares its degree summaries, and an
+/// operand's position is its slot in the [`PhaseSimCache`] key.
+pub(crate) struct SparseOperands<'a> {
+    prepared: Vec<(&'a Arc<[usize]>, PreparedSpmm<'a>)>,
+}
+
+impl<'a> SparseOperands<'a> {
+    /// Prepares `operands`, deduplicated by allocation.
+    pub(crate) fn new(operands: impl IntoIterator<Item = &'a Arc<[usize]>>) -> Self {
+        let mut prepared: Vec<(&'a Arc<[usize]>, PreparedSpmm<'a>)> = Vec::new();
+        for degrees in operands {
+            if !prepared.iter().any(|(d, _)| Arc::ptr_eq(d, degrees)) {
+                prepared.push((degrees, PreparedSpmm::new(degrees)));
             }
-            StageKind::Sddmm { degrees, dot_width, heads, .. } => {
-                // The SDDMM consumes its feature input per edge visit (MAC
-                // units), like the SpMM consume path.
-                let h = (*heads).max(1) as u64;
-                let total_elems = degrees.len() as u64 * h * *dot_width as u64;
-                let total_visits: u64 = degrees.iter().map(|&d| d as u64).sum::<u64>()
-                    * h
-                    * *dot_width as u64;
-                crate::evaluate::scale_elems_to_visits(pel_elems, total_elems, total_visits)
-            }
-            // The elementwise engine consumes one element per element — no
-            // unit conversion needed.
-            StageKind::Elementwise { .. } => pel_elems.max(1),
         }
+        SparseOperands { prepared }
+    }
+
+    /// Every operand `chain`'s stages walk.
+    fn of(chain: &'a Chain) -> Self {
+        let stages = chain.nodes.iter().flat_map(|node| match node {
+            ChainNode::Single(stage) => std::slice::from_ref(stage),
+            ChainNode::Parallel(group) => group.as_slice(),
+        });
+        Self::new(stages.filter_map(|stage| stage.sparse.as_ref()))
+    }
+
+    /// The cache slot and preparation of `stage`'s operand (slot 0 and none
+    /// for a dense stage).
+    ///
+    /// # Panics
+    /// Panics if the stage walks an operand this set was not built from.
+    fn resolve(&self, stage: &Stage) -> (usize, Option<&PreparedSpmm<'a>>) {
+        let Some(degrees) = &stage.sparse else { return (0, None) };
+        let slot = self
+            .prepared
+            .iter()
+            .position(|(d, _)| Arc::ptr_eq(d, degrees))
+            .expect("chain stage walks an unprepared sparse operand");
+        (slot, Some(&self.prepared[slot].1))
     }
 }
 
@@ -424,18 +345,42 @@ impl std::error::Error for ChainError {}
 /// on both sides, or a partitioned link whose PE allocation cannot hold its
 /// stage (or oversubscribes the machine).
 pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, ChainError> {
+    evaluate_chain_in(chain, cfg, &SparseOperands::of(chain), None)
+}
+
+/// [`evaluate_chain`] over prepared operands, through `cache` when given —
+/// bit-identical to the one-shot form. A model search prepares its graph once
+/// and shares one cache across every chain it lowers onto it.
+pub(crate) fn evaluate_chain_in(
+    chain: &Chain,
+    cfg: &AccelConfig,
+    operands: &SparseOperands<'_>,
+    cache: Option<&PhaseSimCache>,
+) -> Result<ChainReport, ChainError> {
     if chain.links.len() + 1 != chain.nodes.len() {
         return Err(ChainError::LinkCountMismatch {
             nodes: chain.nodes.len(),
             links: chain.links.len(),
         });
     }
-    let full_bw = cfg.full_bandwidth();
-    let mut stages: Vec<(String, PhaseStats)> = Vec::new();
-    let mut total: u64 = 0;
+    // Runs one stage at NoC share `bandwidth` under the machine's storage
+    // budget, pipelined per `pipeline` (its side of the link, the link's
+    // `Pel`) when given.
+    let capacity = phase_opts(cfg).capacity;
+    let run = |stage: &Stage, bandwidth: BandwidthShare, pipeline: Option<(ChunkSide, u64)>| {
+        let (slot, sparse) = operands.resolve(stage);
+        let mut key = stage.key;
+        key.opts.bandwidth = bandwidth;
+        key.opts.chunk = None;
+        key.opts.capacity = capacity;
+        if let Some((side, pel)) = pipeline {
+            let (rows, nnz) = sparse.map_or((0, 0), |p| (p.degrees().len() as u64, p.nnz()));
+            key.pipeline(side, pel, bandwidth, rows, nnz);
+        }
+        (stage.name.clone(), simulate_cached(cache, slot, &key, sparse, cfg))
+    };
 
-    // Pre-run every node, attaching chunk specs where a pipelined link needs
-    // producer/consumer timestamps.
+    let full_bw = cfg.full_bandwidth();
     let mut node_stats: Vec<Vec<(String, PhaseStats)>> = Vec::with_capacity(chain.nodes.len());
     for (i, node) in chain.nodes.iter().enumerate() {
         let produce = chain.links.get(i).and_then(|l| match l {
@@ -448,44 +393,36 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
         });
         match node {
             ChainNode::Single(stage) => {
-                if produce.is_some() && consume.is_some() {
-                    return Err(ChainError::PipelinedBothSides { node: i });
-                }
-                let mut opts = EngineOptions::plain(full_bw);
-                if let Some((pel, split)) = produce {
-                    if let Some(s) = split {
-                        let allocated = s.producer_pes + s.consumer_pes;
-                        if allocated > cfg.num_pes {
-                            return Err(ChainError::PartitionOversubscribed {
-                                allocated,
-                                available: cfg.num_pes,
-                            });
-                        }
-                        if stage.pe_footprint() > s.producer_pes {
-                            return Err(ChainError::PartitionTooSmall {
-                                node: i,
-                                allocated: s.producer_pes,
-                                footprint: stage.pe_footprint(),
-                            });
-                        }
-                        opts.bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).0;
+                let side = match (produce, consume) {
+                    (Some(_), Some(_)) => return Err(ChainError::PipelinedBothSides { node: i }),
+                    (Some(link), None) => Some((ChunkSide::Produce, link)),
+                    (None, Some(link)) => Some((ChunkSide::Consume, link)),
+                    (None, None) => None,
+                };
+                let mut bandwidth = full_bw;
+                if let Some((side, (_, Some(s)))) = side {
+                    let allocated = s.producer_pes + s.consumer_pes;
+                    if side == ChunkSide::Produce && allocated > cfg.num_pes {
+                        return Err(ChainError::PartitionOversubscribed {
+                            allocated,
+                            available: cfg.num_pes,
+                        });
                     }
-                    opts.chunk = Some(ChunkSpec { side: ChunkSide::Produce, pel });
-                } else if let Some((pel, split)) = consume {
-                    if let Some(s) = split {
-                        if stage.pe_footprint() > s.consumer_pes {
-                            return Err(ChainError::PartitionTooSmall {
-                                node: i,
-                                allocated: s.consumer_pes,
-                                footprint: stage.pe_footprint(),
-                            });
-                        }
-                        opts.bandwidth = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes).1;
+                    let shares = cfg.partition_bandwidth(s.producer_pes, s.consumer_pes);
+                    let (pes, share) = match side {
+                        ChunkSide::Produce => (s.producer_pes, shares.0),
+                        ChunkSide::Consume => (s.consumer_pes, shares.1),
+                    };
+                    if stage.pe_footprint() > pes {
+                        return Err(ChainError::PartitionTooSmall {
+                            node: i,
+                            allocated: pes,
+                            footprint: stage.pe_footprint(),
+                        });
                     }
-                    opts.chunk =
-                        Some(ChunkSpec { side: ChunkSide::Consume, pel: stage.consume_pel(pel) });
+                    bandwidth = share;
                 }
-                node_stats.push(vec![(stage.name.clone(), stage.run(cfg, &opts))]);
+                node_stats.push(vec![run(stage, bandwidth, side.map(|(side, (pel, _))| (side, pel)))]);
             }
             ChainNode::Parallel(group) => {
                 if produce.is_some() || consume.is_some() {
@@ -507,63 +444,37 @@ pub fn evaluate_chain(chain: &Chain, cfg: &AccelConfig) -> Result<ChainReport, C
                 node_stats.push(
                     group
                         .iter()
-                        .map(|s| {
-                            let opts =
-                                EngineOptions::plain(cfg.bandwidth_fraction(s.pe_footprint()));
-                            (s.name.clone(), s.run(cfg, &opts))
-                        })
+                        .map(|s| run(s, cfg.bandwidth_fraction(s.pe_footprint()), None))
                         .collect(),
                 );
             }
         }
     }
 
-    // Compose timing, and the working-set peak over the same execution steps:
-    // everything running concurrently within a step (a parallel group's
-    // members, a pipelined pair plus its ping-pong buffer) adds, sequential
-    // steps take the max.
-    let phase_peak = |s: &PhaseStats| -> u64 {
-        s.gb_peak_bytes.saturating_add(s.rf_peak_bytes.saturating_mul(s.pe_footprint as u64))
-    };
-    let node_peak = |group: &[(String, PhaseStats)]| -> u64 {
-        group.iter().map(|(_, s)| phase_peak(s)).fold(0u64, u64::saturating_add)
-    };
-    let mut buffer_peak_bytes: u64 = 0;
+    // Compose: a pipelined pair is one step holding its 2×Pel ping-pong
+    // buffer; every other node is a barrier step (a parallel group's members
+    // run concurrently).
+    let mut timeline = Composition::default();
     let mut i = 0;
     while i < chain.nodes.len() {
         if let Some(Link::Pipelined { pel, .. }) = chain.links.get(i) {
-            let producer = &node_stats[i][0].1;
-            let consumer = &node_stats[i + 1][0].1;
-            let p = producer.chunk_durations();
-            let c = consumer.chunk_durations();
-            let k = p.len().max(1);
-            let c = if c.len() == k { c } else { resample_durations(&c, k) };
-            let p = if p.is_empty() { vec![0] } else { p };
-            total += pipeline_runtime(&p, &c);
-            let step = node_peak(&node_stats[i])
-                .saturating_add(node_peak(&node_stats[i + 1]))
-                .saturating_add(2 * pel * cfg.word_bytes as u64);
-            buffer_peak_bytes = buffer_peak_bytes.max(step);
+            let ping_pong = 2 * pel * cfg.word_bytes as u64;
+            timeline.pipelined(&node_stats[i][0].1, &node_stats[i + 1][0].1, ping_pong);
             i += 2;
         } else {
-            let node_cycles = node_stats[i].iter().map(|(_, s)| s.cycles).max().unwrap_or(0);
-            total += node_cycles;
-            buffer_peak_bytes = buffer_peak_bytes.max(node_peak(&node_stats[i]));
+            timeline.barrier(node_stats[i].iter().map(|(_, s)| s));
             i += 1;
         }
     }
-
-    let mut counters = AccessCounters::default();
-    for group in &node_stats {
-        for (_, s) in group {
-            counters.merge(&s.counters);
-        }
-    }
-    for group in node_stats {
-        stages.extend(group);
-    }
-    let energy = EnergyBreakdown::from_counters(&counters, &EnergyModel::paper_default(), None);
-    Ok(ChainReport { stages, total_cycles: total, counters, energy, buffer_peak_bytes })
+    let energy =
+        EnergyBreakdown::from_counters(&timeline.counters, &EnergyModel::paper_default(), None);
+    Ok(ChainReport {
+        stages: node_stats.into_iter().flatten().collect(),
+        total_cycles: timeline.cycles,
+        counters: timeline.counters,
+        energy,
+        buffer_peak_bytes: timeline.peak_bytes,
+    })
 }
 
 #[cfg(test)]

@@ -1,4 +1,16 @@
-//! The PP pipeline schedule (Section IV-C).
+//! Phase composition: the PP pipeline schedule (Section IV-C) and the step
+//! recurrence every composed report is built from.
+//!
+//! [`Composition`] is the one composer behind both a layer's Table III
+//! report ([`crate::PreparedEval`]) and a multiphase chain's report
+//! ([`crate::multiphase::evaluate_chain`]): execution advances in steps —
+//! a barrier step of concurrently running phases (one phase alone is a group
+//! of one) or a pipelined producer/consumer pair — and the step rules fix the
+//! runtime, the on-chip working-set peak, and the merged access counters.
+//! What a report charges on top (Table III buffering, energy pricing) stays
+//! with its entry point.
+
+use omega_accel::{AccessCounters, PhaseStats};
 
 /// Total runtime of a two-stage pipeline over per-chunk durations.
 ///
@@ -55,6 +67,64 @@ pub fn resample_durations(durations: &[u64], k: usize) -> Vec<u64> {
         prev_mark = mark;
     }
     out
+}
+
+/// The runtime of a pipelined producer/consumer pair from their chunk
+/// timelines: the consumer's chunks are resampled onto the producer's count
+/// when their progress units differ, then [`pipeline_runtime`] runs.
+pub(crate) fn pipelined_cycles(producer: &PhaseStats, consumer: &PhaseStats) -> u64 {
+    let p = producer.chunk_durations();
+    let c = consumer.chunk_durations();
+    let k = p.len().max(1);
+    let c = if c.len() == k { c } else { resample_durations(&c, k) };
+    let p = if p.is_empty() { vec![0] } else { p };
+    pipeline_runtime(&p, &c)
+}
+
+/// On-chip working set one phase demands: its GB staging peak plus its
+/// per-PE register-file peak across the PEs it occupies.
+fn phase_peak(s: &PhaseStats) -> u64 {
+    s.gb_peak_bytes.saturating_add(s.rf_peak_bytes.saturating_mul(s.pe_footprint as u64))
+}
+
+/// A composed execution timeline, accumulated step by step (see the module
+/// docs): steps add their cycles, the working-set peak is the maximum over
+/// steps of what each step holds at once, and every phase's counters merge.
+#[derive(Debug, Default)]
+pub(crate) struct Composition {
+    /// End-to-end cycles.
+    pub(crate) cycles: u64,
+    /// Peak on-chip working set over the steps, in bytes.
+    pub(crate) peak_bytes: u64,
+    /// Merged access counters of every composed phase.
+    pub(crate) counters: AccessCounters,
+}
+
+impl Composition {
+    /// A barrier step of phases running concurrently on disjoint partitions:
+    /// it lasts as long as its slowest member and holds every member's working
+    /// set at once. An empty group is no step at all.
+    pub(crate) fn barrier<'s>(&mut self, group: impl IntoIterator<Item = &'s PhaseStats>) {
+        let (mut cycles, mut peak) = (0, 0u64);
+        for s in group {
+            cycles = cycles.max(s.cycles);
+            peak = peak.saturating_add(phase_peak(s));
+            self.counters.merge(&s.counters);
+        }
+        self.cycles += cycles;
+        self.peak_bytes = self.peak_bytes.max(peak);
+    }
+
+    /// A pipelined producer/consumer step: [`pipelined_cycles`] long, holding
+    /// both phases' working sets plus `buffer_bytes` of chunk staging.
+    pub(crate) fn pipelined(&mut self, producer: &PhaseStats, consumer: &PhaseStats, buffer_bytes: u64) {
+        self.cycles += pipelined_cycles(producer, consumer);
+        let peak =
+            phase_peak(producer).saturating_add(phase_peak(consumer)).saturating_add(buffer_bytes);
+        self.peak_bytes = self.peak_bytes.max(peak);
+        self.counters.merge(&producer.counters);
+        self.counters.merge(&consumer.counters);
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Whole-model evaluation: 2-layer GCN / GraphSAGE / 5-layer GIN on one graph,
-//! per-layer dataflow selection, tile refinement, and the runtime-energy
-//! Pareto frontier.
+//! Whole-model evaluation: 2-layer GCN / GraphSAGE / 3-layer GIN on one graph,
+//! joint per-layer dataflow selection, tile refinement, and the
+//! runtime-energy-footprint Pareto frontier.
 //!
 //! ```sh
 //! cargo run --release --example gnn_models [dataset]
 //! ```
 
-use omega_gnn::core::mapper::{pareto_frontier, preset_candidates, refine_tiles};
-use omega_gnn::core::models::{evaluate_model, evaluate_model_mapped, GnnModel};
+use omega_gnn::core::dse::model::{explore_model, ModelDseOptions};
+use omega_gnn::core::mapper::{preset_candidates, refine_tiles};
+use omega_gnn::core::models::{to_chain, uniform_layer_dataflows, GnnModel};
+use omega_gnn::core::multiphase::{evaluate_chain, Link};
 use omega_gnn::prelude::*;
 
 fn main() {
@@ -17,30 +19,33 @@ fn main() {
     let dataset = spec.generate(17);
     let base = GnnWorkload::gcn_layer(&dataset, 16);
     let hw = AccelConfig::paper_default();
+    let cache = DseCache::new();
 
-    // --- whole models, one preset across layers ------------------------------
+    // --- whole models: one preset everywhere vs the joint model search ------
     println!("models on {} (V={}, F={}):\n", base.name, base.v, base.f);
-    let models = [GnnModel::gcn_2layer(7), GnnModel::sage_2layer(32, 7), GnnModel::gin(5, 64)];
+    let models = [GnnModel::gcn_2layer(7), GnnModel::sage_2layer(32, 7), GnnModel::gin(3, 64)];
     for model in &models {
         let preset = Preset::by_name("SP2").expect("preset");
-        let fixed = evaluate_model(model, &base, &preset, &hw).expect("legal");
-        let mapped =
-            evaluate_model_mapped(model, &base, &hw, Objective::Runtime).expect("legal");
-        let picks: Vec<String> = mapped
-            .layers
-            .iter()
-            .map(|l| l.dataflow.to_string())
-            .collect();
+        let dfs = uniform_layer_dataflows(model, &base, &preset, &hw).expect("legal");
+        let links = vec![Link::Sequential; dfs.len() - 1];
+        let chain = to_chain(model, &base, &dfs, &links, &hw).expect("legal");
+        let fixed = evaluate_chain(&chain, &hw).expect("structurally valid");
+        let searched = explore_model(
+            model,
+            &base,
+            &hw,
+            &ModelDseOptions { threads: 4, ..ModelDseOptions::new(Objective::Runtime) },
+            &cache,
+        );
+        let best = searched.best().expect("non-empty model space");
         println!(
-            "{:<12} SP2-everywhere: {:>9} cycles | mapped per layer: {:>9} cycles ({:.1}% better)",
+            "{:<12} SP2-everywhere: {:>9} cycles | searched mapping: {:>9} cycles ({:.1}% better)",
             model.name,
             fixed.total_cycles,
-            mapped.total_cycles,
-            100.0 * (1.0 - mapped.total_cycles as f64 / fixed.total_cycles as f64),
+            best.report.total_cycles,
+            100.0 * (1.0 - best.report.total_cycles as f64 / fixed.total_cycles as f64),
         );
-        for (i, p) in picks.iter().enumerate() {
-            println!("             layer {i}: {p}");
-        }
+        println!("             {}", best.mapping);
     }
 
     // --- tile refinement around the best preset ------------------------------
@@ -56,13 +61,19 @@ fn main() {
     }
 
     // --- Pareto frontier -------------------------------------------------------
-    println!("\nruntime/energy Pareto frontier over the Table V presets:");
-    for point in pareto_frontier(&candidates, &base, &hw) {
+    println!("\nruntime/energy/footprint Pareto frontier over the full layer space:");
+    let frontier = dse::explore(
+        &base,
+        &hw,
+        &DseOptions { threads: 4, pareto: true, ..DseOptions::new(Objective::Runtime) },
+    );
+    for point in &frontier.frontier {
         println!(
-            "  {:<28} {:>9} cycles  {:>9.2} uJ",
+            "  {:<28} {:>9} cycles  {:>9.2} uJ  {:>8} B peak",
             point.dataflow.to_string(),
-            point.report.total_cycles,
-            point.report.energy.total_uj()
+            point.runtime_cycles,
+            point.energy_pj / 1e6,
+            point.buffer_peak_bytes
         );
     }
 }
