@@ -36,7 +36,9 @@ use omega_dataflow::GnnDataflow;
 use super::{lock_recover, parallel_search, DseCache, DseOptions, ParallelJob, ParetoFront};
 use crate::mapper::Objective;
 use crate::models::{lower, to_chain, uniform_layer_dataflows, GnnModel, ModelError};
-use crate::multiphase::{evaluate_chain, evaluate_chain_in, ChainReport, Link, PartitionSplit, SparseOperands};
+use crate::multiphase::{
+    evaluate_chain, evaluate_chain_in, ChainReport, Link, PartitionSplit, SparseOperands,
+};
 use crate::{GnnWorkload, PhaseSimCache};
 
 /// Tuning knobs of a model-level exploration.

@@ -120,11 +120,11 @@ impl PhaseKey {
     /// inside a layer, or a pipelined chain link): a chunk mark every
     /// `pel_elems` intermediate elements, at NoC share `bandwidth`.
     ///
-    /// The sparse engines track *consumption* progress in per-edge units
-    /// rather than intermediate elements (a consumer gathers arbitrary rows),
-    /// so a consuming SpMM/SDDMM converts `Pel` onto that axis using its
-    /// operand's `rows` and `nnz`, and chunk counts roughly align before
-    /// resampling; dense engines count elements directly.
+    /// The sparse engines track *consumption* progress in edge visits rather
+    /// than intermediate elements (a consumer gathers arbitrary rows), so a
+    /// consuming SpMM/SDDMM rescales `Pel` by its operand's visits per row,
+    /// `nnz / rows` (≥ 1 after rounding down), and chunk counts roughly align
+    /// before resampling; dense engines count elements directly.
     pub(crate) fn pipeline(
         &mut self,
         side: ChunkSide,
@@ -133,15 +133,11 @@ impl PhaseKey {
         rows: u64,
         nnz: u64,
     ) {
-        // Elements each stored non-zero (edge visit) of a sparse op consumes.
-        let per_visit = match self.op {
-            PhaseOp::Spmm { width } => Some(width as u64),
-            PhaseOp::Sddmm { dot_width, heads } => Some(heads.max(1) as u64 * dot_width as u64),
-            PhaseOp::Gemm(_) | PhaseOp::Elementwise(_) => None,
-        };
-        let pel = match (side, per_visit) {
-            (ChunkSide::Consume, Some(w)) => scale_elems_to_visits(pel_elems, rows * w, nnz * w),
-            _ => pel_elems,
+        let sparse = matches!(self.op, PhaseOp::Spmm { .. } | PhaseOp::Sddmm { .. });
+        let pel = if side == ChunkSide::Consume && sparse && rows > 0 {
+            ((pel_elems as u128 * nnz as u128) / rows as u128).max(1) as u64
+        } else {
+            pel_elems
         };
         self.opts.bandwidth = bandwidth;
         self.opts.chunk = Some(ChunkSpec { side, pel });
@@ -159,7 +155,9 @@ pub(crate) fn simulate(
     let PhaseKey { op, tiling, classes, opts } = key;
     let operand = || sparse.expect("a sparse phase runs over its prepared operand");
     match *op {
-        PhaseOp::Spmm { width } => simulate_spmm_prepared(operand(), width, tiling, cfg, classes, opts),
+        PhaseOp::Spmm { width } => {
+            simulate_spmm_prepared(operand(), width, tiling, cfg, classes, opts)
+        }
         PhaseOp::Gemm(dims) => {
             simulate_gemm_prepared(&PreparedGemm::new(dims), tiling, cfg, classes, opts)
         }
@@ -597,8 +595,12 @@ pub(crate) fn plan(
     let (agg_classes, cmb_classes) = match (workload.attention, dataflow.phase_order) {
         // GAT aggregation gathers SDDMM scores as its per-edge values.
         (Some(_), _) => (OperandClasses::aggregation_gat(), OperandClasses::combination_ac()),
-        (None, PhaseOrder::AC) => (OperandClasses::aggregation_ac(), OperandClasses::combination_ac()),
-        (None, PhaseOrder::CA) => (OperandClasses::aggregation_ca(), OperandClasses::combination_ca()),
+        (None, PhaseOrder::AC) => {
+            (OperandClasses::aggregation_ac(), OperandClasses::combination_ac())
+        }
+        (None, PhaseOrder::CA) => {
+            (OperandClasses::aggregation_ca(), OperandClasses::combination_ca())
+        }
     };
     let mut agg_opts = base;
     // The per-edge oracle only exists for the sparse walks; GEMM has no
@@ -790,14 +792,6 @@ pub(crate) fn intermediate_pel(workload: &GnnWorkload, dataflow: &GnnDataflow) -
     Some(granularity.pel(rows, cols, t_row_max, t_col_max) as u64)
 }
 
-/// Rescales a `Pel` measured in intermediate elements onto a sparse engine's
-/// edge-visit progress axis (`pel · visits / elems`, ≥ 1).
-fn scale_elems_to_visits(pel_elems: u64, total_elems: u64, total_visits: u64) -> u64 {
-    if total_elems == 0 {
-        return pel_elems.max(1);
-    }
-    ((pel_elems as u128 * total_visits as u128) / total_elems as u128).max(1) as u64
-}
 
 
 #[cfg(test)]

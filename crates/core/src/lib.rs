@@ -18,16 +18,18 @@
 //!   with NoC bandwidth split between the partitions (rows 4-6).
 //!
 //! Entry point: [`evaluate`] (a [`GnnWorkload`] × [`GnnDataflow`] ×
-//! [`AccelConfig`] → [`CostReport`]). [`mapper`] searches candidate sets using
-//! `evaluate` as its cost model (the "future work" optimizer of Section VI),
-//! [`dse`] exhaustively explores the full 6,656-pattern space in parallel
-//! (streamed work queue, top-K reduction, workload-keyed cache), [`models`]
-//! stacks layers into whole GNNs and lowers them onto multiphase chains
+//! [`AccelConfig`] → [`CostReport`]). [`mapper`] builds candidate sets and
+//! refines tiles using `evaluate` as its cost model (the "future work"
+//! optimizer of Section VI), [`dse`] exhaustively explores the full
+//! 6,656-pattern space in parallel (streamed work queue, top-K reduction,
+//! workload-keyed cache, optional Pareto frontier), [`models`] stacks layers
+//! into whole GNNs and lowers them onto multiphase chains
 //! ([`models::to_chain`]), [`dse::model`] jointly searches per-layer dataflows
 //! × inter-layer pipelining × PE partitions for those chains, and
-//! [`multiphase`] generalises the composition to non-GNN multiphase kernels
-//! (DLRM-style chains) with sequential, idealised-pipelined, and partitioned
-//! (PP) links.
+//! [`multiphase`] evaluates chains — lowered GNN models and non-GNN
+//! (DLRM-style) kernels alike — with sequential, idealised-pipelined, and
+//! partitioned (PP) links. Layers and chains share one phase planner, one
+//! simulation dispatch, and one composer; only their pricing differs.
 //!
 //! ```
 //! use omega_core::{evaluate, AccelConfig, GnnWorkload};

@@ -76,7 +76,11 @@ pub(crate) fn phase_pe_budgets(inter: InterPhase, cfg: &AccelConfig) -> (usize, 
 }
 
 /// `preset` concretised for `workload` within [`phase_pe_budgets`].
-pub(crate) fn concretize_preset(preset: &Preset, workload: &GnnWorkload, cfg: &AccelConfig) -> GnnDataflow {
+pub(crate) fn concretize_preset(
+    preset: &Preset,
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+) -> GnnDataflow {
     let ctx = workload.tile_context(preset.pattern.phase_order);
     let (agg_pes, cmb_pes) = phase_pe_budgets(preset.pattern.inter, cfg);
     preset.concretize(&ctx, agg_pes, cmb_pes)

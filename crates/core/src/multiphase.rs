@@ -123,18 +123,6 @@ impl Stage {
         self
     }
 
-    /// Same stage marked as gathering attention scores as its per-edge values
-    /// (their traffic lands in the `EdgeScore` bucket of an SpMM stage);
-    /// `resident` additionally keeps them in the RFs — pairs with an SDDMM
-    /// producer whose [`Self::with_residency`] kept its output local.
-    pub fn with_scores(mut self, resident: bool) -> Self {
-        if let PhaseOp::Spmm { .. } = self.key.op {
-            self.key.classes = OperandClasses::aggregation_gat();
-        }
-        self.key.opts.scores_resident = resident;
-        self
-    }
-
     /// The stage's concrete tiling.
     pub fn tiling(&self) -> &IntraTiling {
         &self.key.tiling
@@ -422,7 +410,8 @@ pub(crate) fn evaluate_chain_in(
                     }
                     bandwidth = share;
                 }
-                node_stats.push(vec![run(stage, bandwidth, side.map(|(side, (pel, _))| (side, pel)))]);
+                let pipeline = side.map(|(side, (pel, _))| (side, pel));
+                node_stats.push(vec![run(stage, bandwidth, pipeline)]);
             }
             ChainNode::Parallel(group) => {
                 if produce.is_some() || consume.is_some() {
@@ -664,6 +653,27 @@ mod tests {
             evaluate_chain(&chain, &AccelConfig::paper_default()).unwrap_err(),
             ChainError::PartitionOversubscribed { allocated: 1024, available: 512 }
         );
+    }
+
+    #[test]
+    fn cached_stages_keep_their_own_sparse_operand() {
+        // Two SpMM stages with identical phase plans over different
+        // adjacencies: a shared cache must not hand one the other's stats.
+        let dense = Stage::spmm("dense", vec![8; 64], 16, agg_tiling([8, 8, 1]));
+        let sparse = Stage::spmm("sparse", vec![1; 64], 16, agg_tiling([8, 8, 1]));
+        let chain = Chain {
+            nodes: vec![ChainNode::Single(dense), ChainNode::Single(sparse)],
+            links: vec![Link::Sequential],
+        };
+        let cfg = AccelConfig::paper_default();
+        let direct = evaluate_chain(&chain, &cfg).unwrap();
+        let cache = PhaseSimCache::new();
+        let operands = SparseOperands::of(&chain);
+        let cached = evaluate_chain_in(&chain, &cfg, &operands, Some(&cache)).unwrap();
+        assert!(direct.stages[0].1.macs > direct.stages[1].1.macs);
+        assert_eq!(cached.total_cycles, direct.total_cycles);
+        assert_eq!(cached.counters, direct.counters);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

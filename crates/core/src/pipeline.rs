@@ -117,7 +117,12 @@ impl Composition {
 
     /// A pipelined producer/consumer step: [`pipelined_cycles`] long, holding
     /// both phases' working sets plus `buffer_bytes` of chunk staging.
-    pub(crate) fn pipelined(&mut self, producer: &PhaseStats, consumer: &PhaseStats, buffer_bytes: u64) {
+    pub(crate) fn pipelined(
+        &mut self,
+        producer: &PhaseStats,
+        consumer: &PhaseStats,
+        buffer_bytes: u64,
+    ) {
         self.cycles += pipelined_cycles(producer, consumer);
         let peak =
             phase_peak(producer).saturating_add(phase_peak(consumer)).saturating_add(buffer_bytes);

@@ -6,11 +6,14 @@
 //! constants were recorded before the layer and chain composers were merged
 //! into one; any refactor of the composition must reproduce them bit for bit.
 //! An intentional cost-model change must update the constants *and* say why
-//! in the commit.
+//! in the commit. The model search, which runs every lowered chain through
+//! one shared stage-simulation cache, is checked against one-shot chain
+//! evaluation field by field.
 
 use omega_accel::engine::{ElementwiseOp, GemmDims};
 use omega_accel::PhaseStats;
 use omega_dataflow::{Dim, IntraTiling, LoopOrder, Phase};
+use omega_gnn::core::dse::model::{evaluate_mapping, explore_model, ModelDseOptions};
 use omega_gnn::core::models::{to_chain, uniform_layer_dataflows, GnnModel};
 use omega_gnn::core::multiphase::{evaluate_chain, Chain, ChainNode, ChainReport, Link, Stage};
 use omega_gnn::core::{EnergyBreakdown, PhaseSimCache, PreparedEval};
@@ -215,10 +218,12 @@ fn chain_reports_dlrm() {
         Stage::spmm("embedding-gather", vec![32; batch], 64, agg_tiling([16, 16, 1])),
         Stage::gemm("bottom-mlp", GemmDims { v: batch, f: 64, g: 64 }, cmb_tiling([16, 16, 1])),
     ]);
-    let top1 =
-        |t: [usize; 3]| Stage::gemm("top-mlp-1", GemmDims { v: batch, f: 128, g: 64 }, cmb_tiling(t));
-    let top2 =
-        |t: [usize; 3]| Stage::gemm("top-mlp-2", GemmDims { v: batch, f: 64, g: 32 }, cmb_tiling(t));
+    let top1 = |t: [usize; 3]| {
+        Stage::gemm("top-mlp-1", GemmDims { v: batch, f: 128, g: 64 }, cmb_tiling(t))
+    };
+    let top2 = |t: [usize; 3]| {
+        Stage::gemm("top-mlp-2", GemmDims { v: batch, f: 64, g: 32 }, cmb_tiling(t))
+    };
     let pel = 64 * 64;
     let variants = [
         ([16, 16, 2], [16, 16, 1], Link::Sequential),
@@ -296,4 +301,26 @@ fn chain_reports_gcn2_pipelined_inter_layer_links() {
         }
     }
     assert_eq!(h.0, 0x4caded8e3f2d37b8);
+}
+
+#[test]
+fn model_search_reports_match_one_shot_chain_evaluation() {
+    // Ranked reports keep no chunk timelines; every other field must match.
+    let hw = AccelConfig::paper_default();
+    let opts = ModelDseOptions { threads: 2, top_k: 8, ..ModelDseOptions::new(Objective::Runtime) };
+    for model in [GnnModel::gat_2layer(4, 7), GnnModel::gcn_2layer(7)] {
+        let out = explore_model(&model, &mutag(), &hw, &opts, &DseCache::new());
+        assert!(!out.ranked.is_empty());
+        for r in &out.ranked {
+            let (score, mut report) =
+                evaluate_mapping(&model, &mutag(), &r.mapping, &hw, Objective::Runtime).unwrap();
+            for (_, s) in &mut report.stages {
+                s.chunk_marks.clear();
+            }
+            let (mut one_shot, mut searched) = (Fnv::new(), Fnv::new());
+            one_shot.chain(&report);
+            searched.chain(&r.report);
+            assert_eq!((score, one_shot.0), (r.score, searched.0), "{}", r.mapping);
+        }
+    }
 }
