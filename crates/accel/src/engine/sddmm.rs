@@ -112,23 +112,6 @@ pub fn simulate_sddmm_prepared(
     classes: &OperandClasses,
     opts: &EngineOptions,
 ) -> PhaseStats {
-    simulate_sddmm_inner(prep, dot_width, heads, tiling, cfg, classes, opts, false)
-}
-
-/// Shared body of the batched leaf and the naive per-pass reference walk
-/// (`naive = true` visits every index and head with multiplicity 1; the tests
-/// assert the two are bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn simulate_sddmm_inner(
-    prep: &PreparedSpmm<'_>,
-    dot_width: usize,
-    heads: usize,
-    tiling: &IntraTiling,
-    cfg: &AccelConfig,
-    classes: &OperandClasses,
-    opts: &EngineOptions,
-    naive: bool,
-) -> PhaseStats {
     assert_eq!(tiling.phase(), Phase::Aggregation, "SDDMM engine needs a V/F/N tiling");
     let order = tiling.order();
     let pos_v = order.position(Dim::V).expect("V is an SDDMM dim");
@@ -137,14 +120,13 @@ fn simulate_sddmm_inner(
         pos_v < pos_n,
         "SDDMM loop order {order} puts N before V; gate with omega_dataflow::validate_sddmm"
     );
-    // `EngineOptions::reference_walk` routes through the same per-pass oracle
-    // the tests' `naive` flag does.
-    let leaf = SddmmLeaf::new(prep, dot_width, heads, tiling, cfg, naive || opts.reference_walk);
+    // `EngineOptions::reference_walk` selects the per-pass oracle.
+    let leaf = SddmmLeaf::new(prep, dot_width, heads, tiling, cfg, opts.reference_walk);
     run_phase(&leaf, cfg, classes, opts)
 }
 
-/// The static shape of one walk, shared by the batched leaf and the naive
-/// per-pass reference walker of the tests.
+/// The static shape of one walk, shared by the batched walk and the per-pass
+/// reference walk.
 #[derive(Clone, Copy)]
 struct WalkShape {
     v: usize,
@@ -621,29 +603,6 @@ mod tests {
         simulate_sddmm(&wl, t, &cfg, &OperandClasses::sddmm(), &EngineOptions::plain(cfg.full_bandwidth()))
     }
 
-    /// The reference walk: every index and head visited pass by pass,
-    /// multiplicity 1 — no `loop_classes`, no degree-class batching, no head
-    /// batching.
-    fn run_naive(
-        degrees: &[usize],
-        d: usize,
-        h: usize,
-        t: &IntraTiling,
-        cfg: &AccelConfig,
-        opts: &EngineOptions,
-    ) -> PhaseStats {
-        simulate_sddmm_inner(
-            &PreparedSpmm::new(degrees),
-            d,
-            h,
-            t,
-            cfg,
-            &OperandClasses::sddmm(),
-            opts,
-            true,
-        )
-    }
-
     const SUPPORTED_ORDERS: [&str; 3] = ["VFN", "VNF", "FVN"];
 
     fn stats_eq(a: &PhaseStats, b: &PhaseStats, ctx: &str) {
@@ -683,7 +642,15 @@ mod tests {
                         for opts in [base_opts, chunked, consuming] {
                             let fast =
                                 simulate_sddmm(&wl, &t, &cfg, &OperandClasses::sddmm(), &opts);
-                            let slow = run_naive(degrees, d, h, &t, &cfg, &opts);
+                            // The reference walk: every index and head
+                            // visited pass by pass, multiplicity 1.
+                            let slow = simulate_sddmm(
+                                &wl,
+                                &t,
+                                &cfg,
+                                &OperandClasses::sddmm(),
+                                &EngineOptions { reference_walk: true, ..opts },
+                            );
                             stats_eq(
                                 &fast,
                                 &slow,

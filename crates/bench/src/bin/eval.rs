@@ -13,12 +13,11 @@
 use std::process::ExitCode;
 
 use omega_accel::AccelConfig;
+use omega_core::dse::{concretize_pattern, concretize_preset};
+use omega_core::multiphase::PartitionSplit;
 use omega_core::{evaluate, GnnWorkload};
 use omega_dataflow::presets::Preset;
-use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
-use omega_dataflow::{
-    Dim, GnnDataflow, GnnDataflowPattern, InterPhase, IntraTiling, MappingSpec,
-};
+use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, InterPhase, IntraPattern, IntraTiling};
 use omega_graph::DatasetSpec;
 
 struct Args {
@@ -107,8 +106,8 @@ fn main() -> ExitCode {
     };
 
     // Degenerate hardware is rejected up front: 0 PEs has no meaningful cost
-    // model (and divides/clamps downstream), and a parallel pipeline cannot
-    // split fewer than 2 PEs into two concurrent partitions.
+    // model. Tilings too large for the array (a PP dataflow on 1 PE, an
+    // oversized `--tiles`) are refused by `evaluate` below.
     if args.pes == 0 {
         eprintln!("error: --pes must be >= 1 (got 0)");
         return ExitCode::FAILURE;
@@ -130,18 +129,26 @@ fn main() -> ExitCode {
         cfg = cfg.with_bandwidth(bw);
     }
 
+    // `--agg-pes` sizes a PP dataflow's Aggregation partition explicitly;
+    // without it the core budget rule (a 50-50 split) applies.
+    let agg_fraction = args.agg_pes.map(|agg_pes| agg_pes as f64 / args.pes as f64);
+    let pp_split = |inter: InterPhase| {
+        let f = agg_fraction.filter(|_| inter == InterPhase::ParallelPipeline)?;
+        Some(PartitionSplit::fraction(cfg.num_pes, f))
+    };
     let df: GnnDataflow = if let Some(name) = &args.preset {
         let Some(preset) = Preset::by_name(name) else {
             eprintln!("unknown preset '{name}'; known: Seq1 Seq2 SP1 SP2 SPhighV PP1 PP2 PP3 PP4");
             return ExitCode::FAILURE;
         };
-        if let Err(e) = check_pp_split(&preset.pattern, &cfg) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        match pp_split(preset.pattern.inter) {
+            Some(s) => preset.concretize(
+                &wl.tile_context(preset.pattern.phase_order),
+                s.producer_pes,
+                s.consumer_pes,
+            ),
+            None => concretize_preset(&preset, &wl, &cfg),
         }
-        let ctx = wl.tile_context(preset.pattern.phase_order);
-        let (a, c) = split(&preset.pattern, &args, &cfg);
-        preset.concretize(&ctx, a, c)
     } else {
         let pattern: GnnDataflowPattern = match args.dataflow.as_deref().unwrap_or_default().parse() {
             Ok(p) => p,
@@ -150,11 +157,15 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(e) = check_pp_split(&pattern, &cfg) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        match (args.tiles, pp_split(pattern.inter)) {
+            (Some(tiles), _) => pinned(&pattern, tiles),
+            (None, Some(s)) => pattern.concretize(
+                &wl.tile_context(pattern.phase_order),
+                s.producer_pes,
+                s.consumer_pes,
+            ),
+            (None, None) => concretize_pattern(&pattern, &wl, &cfg),
         }
-        concretize_pattern(&pattern, &wl, &args, &cfg)
     };
 
     println!("workload  {} (V={}, F={}, G={}, nnz={}, max deg={})", wl.name, wl.v, wl.f, wl.g, wl.nnz, wl.max_degree);
@@ -184,66 +195,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// A parallel pipeline needs at least one PE per partition; with fewer than 2
-/// PEs the split (`clamp(1, num_pes - 1)`) would underflow — reject clearly.
-fn check_pp_split(pattern: &GnnDataflowPattern, cfg: &AccelConfig) -> Result<(), String> {
-    if pattern.inter == InterPhase::ParallelPipeline && cfg.num_pes < 2 {
-        return Err(format!(
-            "a PP dataflow splits the array into two partitions and needs --pes >= 2 (got {})",
-            cfg.num_pes
-        ));
-    }
-    Ok(())
-}
-
-fn split(pattern: &GnnDataflowPattern, args: &Args, cfg: &AccelConfig) -> (usize, usize) {
-    if pattern.inter == InterPhase::ParallelPipeline {
-        let a = args.agg_pes.unwrap_or(cfg.num_pes / 2).clamp(1, cfg.num_pes - 1);
-        (a, cfg.num_pes - a)
-    } else {
-        (cfg.num_pes, cfg.num_pes)
-    }
-}
-
-fn concretize_pattern(
-    pattern: &GnnDataflowPattern,
-    wl: &GnnWorkload,
-    args: &Args,
-    cfg: &AccelConfig,
-) -> GnnDataflow {
-    if let Some(t) = args.tiles {
-        let place = |tiling: &omega_dataflow::IntraPattern, tv: usize, tmid: usize, tf: usize| {
-            let tiles = tiling.order().dims().map(|d| match d {
-                Dim::V => tv,
-                Dim::N | Dim::G => tmid,
-                Dim::F => tf,
-            });
-            IntraTiling::new(tiling.phase(), tiling.order(), tiles)
-        };
-        return GnnDataflow {
-            inter: pattern.inter,
-            phase_order: pattern.phase_order,
-            agg: place(&pattern.agg, t[0], t[1], t[2]),
-            cmb: place(&pattern.cmb, t[3], t[4], t[5]),
-        };
-    }
-    let ctx = wl.tile_context(pattern.phase_order);
-    let (a, c) = split(pattern, args, cfg);
-    let policy = |p: &omega_dataflow::IntraPattern| {
-        let dims: Vec<Dim> = p
-            .order()
-            .dims()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| p.maps()[i] != MappingSpec::Temporal)
-            .map(|(_, &d)| d)
-            .collect();
-        PhasePolicy::round_robin(&dims).with_cap(Dim::N, Cap::MeanDegreePow2)
+/// `pattern` with the exact `--tiles` sizes `(tV, tN, tF, tV, tG, tF)`.
+fn pinned(pattern: &GnnDataflowPattern, t: [usize; 6]) -> GnnDataflow {
+    let place = |tiling: &IntraPattern, tv: usize, tmid: usize, tf: usize| {
+        let tiles = tiling.order().dims().map(|d| match d {
+            Dim::V => tv,
+            Dim::N | Dim::G => tmid,
+            Dim::F => tf,
+        });
+        IntraTiling::new(tiling.phase(), tiling.order(), tiles)
     };
     GnnDataflow {
         inter: pattern.inter,
         phase_order: pattern.phase_order,
-        agg: choose_tiling(&pattern.agg, &ctx, a, &policy(&pattern.agg)),
-        cmb: choose_tiling(&pattern.cmb, &ctx, c, &policy(&pattern.cmb)),
+        agg: place(&pattern.agg, t[0], t[1], t[2]),
+        cmb: place(&pattern.cmb, t[3], t[4], t[5]),
     }
 }

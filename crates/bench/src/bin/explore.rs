@@ -56,10 +56,8 @@ struct Args {
     max_buffer_bytes: Option<u64>,
     seed: u64,
     json: Option<String>,
-    serve: Option<String>,
     remote: Option<String>,
     deadline_ms: Option<u64>,
-    cache_file: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,10 +84,8 @@ fn parse_args() -> Result<Args, String> {
         max_buffer_bytes: None,
         seed: 0x0E5A_2022,
         json: None,
-        serve: None,
         remote: None,
         deadline_ms: None,
-        cache_file: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -153,13 +149,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => out.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--json" => out.json = Some(value(&mut i)?),
-            "--serve" => out.serve = Some(value(&mut i)?),
             "--remote" => out.remote = Some(value(&mut i)?),
             "--deadline-ms" => {
                 out.deadline_ms =
                     Some(value(&mut i)?.parse().map_err(|e| format!("--deadline-ms: {e}"))?)
             }
-            "--cache-file" => out.cache_file = Some(value(&mut i)?),
             "--help" | "-h" => return Err("usage".into()),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -201,13 +195,10 @@ fn parse_args() -> Result<Args, String> {
     if out.rf_bytes == Some(0) || out.gb_bytes == Some(0) {
         return Err("--rf-bytes/--gb-bytes must be >= 1".into());
     }
-    if out.cache_file.is_some() && out.serve.is_none() {
-        return Err("--cache-file requires --serve".into());
-    }
-    if out.remote.is_some() && (out.model.is_some() || out.pareto || out.serve.is_some()) {
+    if out.remote.is_some() && (out.model.is_some() || out.pareto) {
         return Err(
             "--remote forwards one layer-level search to a running mapperd; it cannot \
-             combine with --model, --pareto, or --serve"
+             combine with --model or --pareto"
                 .into(),
         );
     }
@@ -215,48 +206,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--deadline-ms requires --remote (deadlines are a serving concept)".into());
     }
     Ok(out)
-}
-
-/// `--serve ADDR`: forward into the `mapperd` daemon loop instead of running
-/// one exploration — the same worker pool, shared decision cache, and
-/// NDJSON protocol, sized by `--threads`/`--top`/`--cache-file`.
-fn serve(addr: &str, args: &Args) -> ExitCode {
-    omega_serve::signal::install();
-    let opts = omega_serve::ServeOptions {
-        addr: addr.to_string(),
-        threads: args.threads,
-        search_threads: args.threads,
-        top_k: args.top,
-        cache_file: args.cache_file.as_ref().map(std::path::PathBuf::from),
-        ..Default::default()
-    };
-    let server = match omega_serve::MapperServer::bind(opts) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("explore --serve: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => println!("explore: serving mapper decisions on {addr}"),
-        Err(e) => {
-            eprintln!("explore --serve: no local address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(stats) => {
-            println!(
-                "explore: served {} requests — {} searches, {} hits, {} coalesced",
-                stats.requests, stats.searches, stats.hits, stats.coalesced
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("explore --serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `--remote ADDR`: forward the layer-level search to a running `mapperd`
@@ -354,16 +303,11 @@ fn main() -> ExitCode {
                  [--stats] [--hidden G] [--activation act|norm] [--pes N] \
                  [--bandwidth ELEMS] [--pareto] [--rf-bytes N] [--gb-bytes N] \
                  [--max-buffer-bytes N] [--seed S] [--json PATH|-] \
-                 [--serve HOST:PORT [--cache-file PATH]] \
                  [--remote HOST:PORT [--deadline-ms MS]]"
             );
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(addr) = args.serve.clone() {
-        return serve(&addr, &args);
-    }
 
     // The Table IV registry first; unknown names fall through to the scale
     // family (`rmat-N` / `chung-lu-N`), whose summary-driven sweeps are the

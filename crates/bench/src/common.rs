@@ -3,9 +3,11 @@
 use serde::Serialize;
 
 use omega_accel::AccelConfig;
+use omega_core::dse::concretize_preset;
+use omega_core::multiphase::PartitionSplit;
 use omega_core::{evaluate, CostReport, GnnWorkload};
 use omega_dataflow::presets::Preset;
-use omega_dataflow::{GnnDataflow, InterPhase};
+use omega_dataflow::GnnDataflow;
 use omega_graph::{suite, Dataset};
 
 /// Base seed used by every experiment (fixed for reproducibility).
@@ -40,41 +42,31 @@ pub struct EvalPoint {
     pub report: CostReport,
 }
 
-/// Concretises a preset for a workload on `cfg`, with the given PP split
-/// (`agg_fraction` of the PEs to Aggregation; ignored for Seq/SP).
-pub fn concretize(
-    preset: &Preset,
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-    agg_fraction: f64,
-) -> GnnDataflow {
-    let ctx = workload.tile_context(preset.pattern.phase_order);
-    let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-        let agg = ((cfg.num_pes as f64 * agg_fraction).round() as usize).clamp(1, cfg.num_pes - 1);
-        (agg, cfg.num_pes - agg)
-    } else {
-        (cfg.num_pes, cfg.num_pes)
-    };
-    preset.concretize(&ctx, a, c)
+/// Evaluates one preset (PP split 50-50) on one workload.
+pub fn eval_preset(preset: &Preset, workload: &GnnWorkload, cfg: &AccelConfig) -> EvalPoint {
+    eval_point(preset, workload, cfg, concretize_preset(preset, workload, cfg))
 }
 
-/// Evaluates one preset (50-50 PP split) on one workload.
-pub fn eval_preset(
-    preset: &Preset,
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-) -> EvalPoint {
-    eval_preset_with_split(preset, workload, cfg, 0.5)
-}
-
-/// Evaluates one preset with an explicit PP split.
+/// Evaluates one PP preset with `agg_fraction` of the PEs given to
+/// Aggregation (Fig. 14's load-balancing splits).
 pub fn eval_preset_with_split(
     preset: &Preset,
     workload: &GnnWorkload,
     cfg: &AccelConfig,
     agg_fraction: f64,
 ) -> EvalPoint {
-    let df = concretize(preset, workload, cfg, agg_fraction);
+    let split = PartitionSplit::fraction(cfg.num_pes, agg_fraction);
+    let ctx = workload.tile_context(preset.pattern.phase_order);
+    let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
+    eval_point(preset, workload, cfg, df)
+}
+
+fn eval_point(
+    preset: &Preset,
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+    df: GnnDataflow,
+) -> EvalPoint {
     let report = evaluate(workload, &df, cfg).expect("preset dataflows are legal");
     EvalPoint {
         dataset: workload.name.clone(),
@@ -101,13 +93,15 @@ mod tests {
     fn concretize_splits_pp() {
         let (_, wl) = default_suite().swap_remove(0);
         let cfg = AccelConfig::paper_default();
-        let pp = Preset::by_name("PP1").unwrap();
-        let df = concretize(&pp, &wl, &cfg, 0.25);
-        assert!(df.agg.pe_footprint() <= 128);
-        assert!(df.cmb.pe_footprint() <= 384);
-        let seq = Preset::by_name("Seq1").unwrap();
-        let df = concretize(&seq, &wl, &cfg, 0.25);
-        assert!(df.agg.pe_footprint() <= 512);
+        let footprints = |p: &EvalPoint| {
+            let (tv, tn, tf, tv_c, tg, tf_c) = p.tiles;
+            (tv * tn * tf, tv_c * tg * tf_c)
+        };
+        let pp = eval_preset_with_split(&Preset::by_name("PP1").unwrap(), &wl, &cfg, 0.25);
+        let (agg, cmb) = footprints(&pp);
+        assert!(agg <= 128 && cmb <= 384, "{agg} + {cmb}");
+        let seq = eval_preset(&Preset::by_name("Seq1").unwrap(), &wl, &cfg);
+        assert!(footprints(&seq).0 <= 512);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use serde::Serialize;
 
 use omega_accel::AccelConfig;
+use omega_core::dse::concretize_preset;
 use omega_core::model_check::{buffering_formula, runtime_formula};
 use omega_dataflow::analysis::{analyse, ReductionStyle};
 use omega_dataflow::enumerate::{count_for, design_space_size, sp_optimized_pattern_count};
@@ -10,7 +11,7 @@ use omega_dataflow::presets::Preset;
 use omega_dataflow::{Dim, InterPhase, IntraTiling, LoopOrder, Phase};
 use omega_graph::{Category, DatasetSpec, GraphStats};
 
-use crate::common::{concretize, default_suite, eval_preset, SEED};
+use crate::common::{default_suite, eval_preset, SEED};
 
 /// Table I: hardware implications of the three example 2D GEMM dataflows.
 #[derive(Debug, Clone, Serialize)]
@@ -197,7 +198,7 @@ pub fn table5() -> Vec<Table5Row> {
     Preset::all()
         .into_iter()
         .map(|p| {
-            let df = concretize(&p, &wl, &cfg, 0.5);
+            let df = concretize_preset(&p, &wl, &cfg);
             Table5Row {
                 name: p.name.to_string(),
                 configuration: p.pattern.to_string(),

@@ -12,7 +12,7 @@
 //!   never collected into a `Vec`;
 //! * per-worker top-K reduction merged at join, with deterministic
 //!   (thread-count-independent) tie-breaking by pattern index;
-//! * optional seeding with the Table V presets and their CA companions
+//! * seeding with the Table V presets and their CA companions
 //!   (their hand-tuned tile policies are not always reachable by the balanced
 //!   concretisation, so seeding guarantees the reported optimum is never worse
 //!   than any preset);
@@ -34,11 +34,11 @@ use serde::{Deserialize, Serialize};
 
 use omega_accel::AccelConfig;
 use omega_dataflow::enumerate::PatternSpace;
-use omega_dataflow::tiles::{choose_tiling, Cap, PhasePolicy};
-use omega_dataflow::{Dim, GnnDataflow, GnnDataflowPattern, IntraPattern, MappingSpec};
+use omega_dataflow::presets::Preset;
+use omega_dataflow::{GnnDataflow, GnnDataflowPattern};
 
-use crate::evaluate::DseEval;
-use crate::mapper::{refine_tiles, Objective};
+use crate::evaluate::{DseBound, DseEval};
+use crate::mapper::{phase_pe_budgets, refine_tiles, Objective};
 use crate::{CostReport, GnnWorkload, PhaseSimCache, PreparedEval};
 
 pub mod model;
@@ -56,9 +56,6 @@ pub struct DseOptions {
     pub refine_steps: usize,
     /// Patterns per work-queue claim.
     pub chunk: usize,
-    /// Also evaluate the Table V presets + CA companions as seeds, so the
-    /// reported optimum is never worse than any preset's hand-tuned tiling.
-    pub seed_presets: bool,
     /// Skip simulating candidates whose admissible cycle lower bound already
     /// exceeds the worst retained top-K score (active under the `Runtime`
     /// objective only; the ranked output is bit-identical either way —
@@ -85,7 +82,6 @@ impl Default for DseOptions {
             top_k: 10,
             refine_steps: 0,
             chunk: 64,
-            seed_presets: true,
             prune: true,
             phase_cache: true,
             pareto: false,
@@ -182,37 +178,27 @@ impl ExploreOutcome {
     }
 }
 
-/// The balanced concretisation policy used throughout the explorers:
-/// round-robin growth over the dims the pattern allows to be spatial, with the
-/// neighbour tile capped at the mean degree.
-pub(crate) fn balanced_policy(p: &IntraPattern) -> PhasePolicy {
-    let dims: Vec<Dim> = p
-        .order()
-        .dims()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| p.maps()[i] != MappingSpec::Temporal)
-        .map(|(_, &d)| d)
-        .collect();
-    PhasePolicy::round_robin(&dims).with_cap(Dim::N, Cap::MeanDegreePow2)
-}
-
-/// Concretises an enumerated pattern for `workload`: balanced round-robin
-/// growth over the dims the pattern allows to be spatial, the neighbour tile
-/// capped at the mean degree, and a 50-50 PE split for PP patterns.
+/// Concretises an enumerated pattern for `workload` with the balanced tile
+/// policy ([`omega_dataflow::tiles::PhasePolicy::balanced`]) within the
+/// phase PE budgets of the machine (a 50-50 split for PP patterns).
 pub fn concretize_pattern(
     pattern: &GnnDataflowPattern,
     workload: &GnnWorkload,
     cfg: &AccelConfig,
 ) -> GnnDataflow {
-    let ctx = workload.tile_context(pattern.phase_order);
-    let (agg_pes, cmb_pes) = crate::mapper::phase_pe_budgets(pattern.inter, cfg);
-    GnnDataflow {
-        inter: pattern.inter,
-        phase_order: pattern.phase_order,
-        agg: choose_tiling(&pattern.agg, &ctx, agg_pes, &balanced_policy(&pattern.agg)),
-        cmb: choose_tiling(&pattern.cmb, &ctx, cmb_pes, &balanced_policy(&pattern.cmb)),
-    }
+    let (agg_pes, cmb_pes) = phase_pe_budgets(pattern.inter, cfg);
+    pattern.concretize(&workload.tile_context(pattern.phase_order), agg_pes, cmb_pes)
+}
+
+/// Concretises a Table V preset (or CA companion) for `workload` with its own
+/// tile policies, within the same phase PE budgets as [`concretize_pattern`].
+pub fn concretize_preset(
+    preset: &Preset,
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+) -> GnnDataflow {
+    let (agg_pes, cmb_pes) = phase_pe_budgets(preset.pattern.inter, cfg);
+    preset.concretize(&workload.tile_context(preset.pattern.phase_order), agg_pes, cmb_pes)
 }
 
 /// Locks `m`, adopting the guard even when a previous holder panicked. Every
@@ -588,12 +574,10 @@ pub fn explore_cancellable(
     // under Runtime pruning their K-th best distinct score is a sound initial
     // threshold — the sweep can prune from candidate one.
     let mut seeds: Vec<Scored> = Vec::new();
-    if opts.seed_presets {
-        for (j, df) in crate::mapper::extended_candidates(workload, cfg).into_iter().enumerate() {
-            if let DseEval::Report(report) = prep.evaluate_dse(&df, cache_ref, None) {
-                let score = opts.objective.score(&report);
-                seeds.push((score, total + j, df, *report));
-            }
+    for (j, df) in crate::mapper::extended_candidates(workload, cfg).into_iter().enumerate() {
+        if let DseEval::Report(report) = prep.evaluate_dse(&df, cache_ref, &|_| false) {
+            let score = opts.objective.score(&report);
+            seeds.push((score, total + j, df, *report));
         }
     }
     let seeded = seeds.len();
@@ -620,15 +604,14 @@ pub fn explore_cancellable(
     let prep_ref = &prep;
     let front_ref = &front;
     let score = move |dataflow: &GnnDataflow, index: usize, thr: f64| -> Verdict<CostReport> {
-        let eval = if pareto {
-            let prune_if = |bounds: [f64; 3]| {
-                opts.prune
-                    && lock_recover(front_ref).strictly_dominates(&bounds)
-            };
-            prep_ref.evaluate_dse_pareto(dataflow, cache_ref, &prune_if)
-        } else {
-            prep_ref.evaluate_dse(dataflow, cache_ref, pruning.then_some(thr))
+        let prune_if = |bound: &DseBound<'_>| {
+            if pareto {
+                opts.prune && lock_recover(front_ref).strictly_dominates(&bound.vector())
+            } else {
+                pruning && bound.cycles() > thr
+            }
         };
+        let eval = prep_ref.evaluate_dse(dataflow, cache_ref, &prune_if);
         let verdict = dse_verdict(eval, opts.objective);
         if pareto {
             if let Verdict::Score(_, report) = &verdict {
@@ -991,9 +974,16 @@ pub struct LoadReport {
     pub cleaned_tmp: bool,
 }
 
+/// The FNV-1a 64-bit offset basis (the hash of no bytes).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over `bytes` (the checksum of the persisted cache payload).
 fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Folds `bytes` into the running FNV-1a state `h`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -1006,8 +996,9 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Keyed by everything the (deterministic) result depends on: the workload
 /// fingerprint (dimensions and full degree sequence), the accelerator
 /// configuration, and the result-affecting options (`objective`, `top_k`,
-/// `refine_steps`, `seed_presets` — *not* `threads`/`chunk`). Repeated sweeps
-/// over the same workloads hit the cache instead of re-searching.
+/// `refine_steps`, `prune`, `phase_cache`, `pareto` — *not*
+/// `threads`/`chunk`). Repeated sweeps over the same workloads hit the cache
+/// instead of re-searching.
 ///
 /// Built to sit under a long-running mapper daemon:
 ///
@@ -1461,13 +1452,8 @@ impl Drop for FlightLead<'_> {
 
 /// FNV-1a fingerprint of everything a deterministic exploration depends on.
 fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a_extend(h, bytes);
     // The workload *name* is deliberately not hashed: it is cosmetic (layer
     // workloads are named "Cora[L0]" etc.), and the dimensions plus the full
     // degree sequence below already determine the search result — so a model
@@ -1481,10 +1467,7 @@ fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
     eat(&(workload.attention.map_or(0, |a| a.heads as u64)).to_le_bytes());
     // Likewise the elementwise post-phase: an activation/LayerNorm suffix
     // changes every candidate's cycles, so it must key the cached outcome.
-    eat(&[workload.post_op.map_or(0u8, |op| match op {
-        omega_accel::engine::ElementwiseOp::Activation => 1,
-        omega_accel::engine::ElementwiseOp::LayerNorm => 2,
-    })]);
+    eat(&[post_op_byte(workload.post_op)]);
     for &d in &workload.degrees {
         eat(&(d as u64).to_le_bytes());
     }
@@ -1523,7 +1506,9 @@ fn fingerprint(workload: &GnnWorkload, cfg: &AccelConfig, opts: &DseOptions) -> 
     for x in [
         opts.top_k as u64,
         opts.refine_steps as u64,
-        opts.seed_presets as u64,
+        // The slot of the retired `seed_presets` switch (preset seeding is
+        // unconditional): the constant keeps persisted cache keys valid.
+        1,
         opts.prune as u64,
         opts.phase_cache as u64,
         opts.pareto as u64,
@@ -1546,6 +1531,26 @@ mod tests {
 
     fn quick_opts() -> DseOptions {
         DseOptions { threads: 2, top_k: 5, ..DseOptions::new(Objective::Runtime) }
+    }
+
+    /// Cache files persisted by earlier builds must keep hitting, so the key
+    /// of a fixed workload/config/options is pinned: any change to what
+    /// `fingerprint` hashes invalidates every saved `DseCache`.
+    #[test]
+    fn fingerprint_is_stable_across_builds() {
+        let cfg = AccelConfig::paper_default();
+        assert_eq!(fingerprint(&wl(), &cfg, &DseOptions::default()), 0x6ec7_f25a_aa38_e039);
+        let mut normed = wl();
+        normed.post_op = Some(omega_accel::engine::ElementwiseOp::LayerNorm);
+        let opts = DseOptions {
+            objective: Objective::Edp,
+            top_k: 7,
+            refine_steps: 3,
+            prune: false,
+            pareto: true,
+            ..DseOptions::default()
+        };
+        assert_eq!(fingerprint(&normed, &cfg.with_pes(2048), &opts), 0x8a8c_5006_03ff_bae1);
     }
 
     #[test]

@@ -316,15 +316,8 @@ fn link_options(
     opts: &ModelDseOptions,
 ) -> Vec<Link> {
     let mut out = vec![Link::Sequential];
-    let splits: Vec<PartitionSplit> = opts
-        .split_fractions
-        .iter()
-        .map(|&f| {
-            let hi = cfg.num_pes.saturating_sub(1).max(1);
-            let producer_pes = ((cfg.num_pes as f64 * f).round() as usize).clamp(1, hi);
-            PartitionSplit { producer_pes, consumer_pes: (cfg.num_pes - producer_pes).max(1) }
-        })
-        .collect();
+    let splits: Vec<PartitionSplit> =
+        opts.split_fractions.iter().map(|&f| PartitionSplit::fraction(cfg.num_pes, f)).collect();
     for pel in pel_ladder(producer_elems, row_elems, opts.pel_rungs) {
         for &split in &splits {
             let link = Link::Pipelined { pel, split: Some(split) };
@@ -357,7 +350,6 @@ fn layer_candidate_list(
         top_k: opts.per_layer_k + 4, // headroom for the phase-order filter
         refine_steps: 0,
         chunk: 64,
-        seed_presets: true,
         // The per-layer searches are the model explorer's hot path: the
         // factored/pruned engine is ranked-output-neutral, but the reference
         // arm stays reachable for the bit-identity acceptance tests.

@@ -47,6 +47,15 @@ pub enum EvalError {
     /// the scores are computed on the phase's input features and consumed by
     /// the Aggregation, so only AC is legal.
     AttentionRequiresAc,
+    /// The dataflow's tiling needs more PEs than the array has: under Seq/SP
+    /// each phase's footprint must fit the array, under PP the two concurrent
+    /// partitions together.
+    Oversubscribed {
+        /// PEs the tiling occupies ([`GnnDataflow::pe_footprint`]).
+        needed: usize,
+        /// PEs the array has.
+        available: usize,
+    },
 }
 
 impl std::fmt::Display for EvalError {
@@ -55,6 +64,9 @@ impl std::fmt::Display for EvalError {
             EvalError::Invalid(e) => write!(f, "illegal dataflow: {e}"),
             EvalError::AttentionRequiresAc => {
                 write!(f, "attention (GAT) layers are AC-only: SDDMM score -> aggregate -> combine")
+            }
+            EvalError::Oversubscribed { needed, available } => {
+                write!(f, "dataflow needs {needed} PEs but the array has {available}")
             }
         }
     }
@@ -201,6 +213,28 @@ pub(crate) struct EvalPlan {
     pub(crate) post: Option<PhaseKey>,
 }
 
+/// The admissible bounds of one planned dataflow, handed to the pruning test
+/// of [`PreparedEval::evaluate_dse`]. Each bound is computed only when read,
+/// so a runtime-only search never pays for the energy and footprint axes.
+pub(crate) struct DseBound<'p> {
+    prep: &'p PreparedEval<'p>,
+    plan: &'p EvalPlan,
+    dataflow: &'p GnnDataflow,
+}
+
+impl DseBound<'_> {
+    /// Lower bound on the total cycles ([`PreparedEval::lower_bound`]).
+    pub(crate) fn cycles(&self) -> f64 {
+        self.prep.lower_bound(self.plan, self.dataflow.inter) as f64
+    }
+
+    /// `[cycles, energy pJ, buffer-peak bytes]` lower bounds
+    /// ([`PreparedEval::bound_vector`]).
+    pub(crate) fn vector(&self) -> [f64; 3] {
+        self.prep.bound_vector(self.plan, self.dataflow)
+    }
+}
+
 /// How a DSE-driven evaluation ended (see [`PreparedEval::evaluate_dse`]).
 pub(crate) enum DseEval {
     /// The dataflow evaluated; the report's phase timelines are intact.
@@ -254,38 +288,21 @@ impl<'a> PreparedEval<'a> {
         Ok(self.run_plan(dataflow, &plan, Some(cache)))
     }
 
-    /// The DSE hot path: evaluate with an optional shared phase-simulation
-    /// cache and an optional pruning threshold (total-cycle budget — candidates
-    /// whose admissible lower bound exceeds it skip simulation entirely).
+    /// The DSE hot path: plan the dataflow, hand its admissible [`DseBound`]
+    /// to `prune_if`, and simulate (through `cache` when given) only when the
+    /// caller cannot rule it out. A `true` verdict is sound exactly when the
+    /// caller only prunes on what the bound proves: the real report is
+    /// component-wise no better than it, so a candidate whose cycle bound
+    /// already exceeds the top-K threshold — or whose bound vector some
+    /// known-reachable point strictly beats on every axis — would lose anyway.
     pub(crate) fn evaluate_dse(
         &self,
         dataflow: &GnnDataflow,
         cache: Option<&PhaseSimCache>,
-        prune_above: Option<f64>,
+        prune_if: &dyn Fn(&DseBound<'_>) -> bool,
     ) -> DseEval {
         let Ok(plan) = plan(self.workload, self.cfg, dataflow) else { return DseEval::Invalid };
-        if let Some(threshold) = prune_above {
-            if self.lower_bound(&plan, dataflow.inter) as f64 > threshold {
-                return DseEval::Pruned;
-            }
-        }
-        DseEval::Report(Box::new(self.run_plan(dataflow, &plan, cache)))
-    }
-
-    /// The Pareto-mode DSE hot path: plan the dataflow, hand its per-objective
-    /// admissible bound vector (`[cycles, energy pJ, buffer-peak bytes]`) to
-    /// `prune_if`, and simulate only when the caller cannot rule it out. A
-    /// `true` verdict is sound exactly when the caller only prunes vectors
-    /// some known-reachable point strictly beats on **all** axes: the real
-    /// report is component-wise ≥ the bound, so it would be dominated too.
-    pub(crate) fn evaluate_dse_pareto(
-        &self,
-        dataflow: &GnnDataflow,
-        cache: Option<&PhaseSimCache>,
-        prune_if: &dyn Fn([f64; 3]) -> bool,
-    ) -> DseEval {
-        let Ok(plan) = plan(self.workload, self.cfg, dataflow) else { return DseEval::Invalid };
-        if prune_if(self.bound_vector(&plan, dataflow)) {
+        if prune_if(&DseBound { prep: self, plan: &plan, dataflow }) {
             return DseEval::Pruned;
         }
         DseEval::Report(Box::new(self.run_plan(dataflow, &plan, cache)))
@@ -555,6 +572,10 @@ pub(crate) fn plan(
     dataflow: &GnnDataflow,
 ) -> Result<EvalPlan, EvalError> {
     validate(dataflow)?;
+    let needed = dataflow.pe_footprint();
+    if needed > cfg.num_pes {
+        return Err(EvalError::Oversubscribed { needed, available: cfg.num_pes });
+    }
     let sp_optimized = dataflow.is_sp_optimized();
     let base = phase_opts(cfg);
 
@@ -806,7 +827,7 @@ mod tests {
     }
 
     fn eval_preset(name: &str, wl: &GnnWorkload, cfg: &AccelConfig) -> CostReport {
-        let df = crate::mapper::concretize_preset(&Preset::by_name(name).unwrap(), wl, cfg);
+        let df = crate::dse::concretize_preset(&Preset::by_name(name).unwrap(), wl, cfg);
         evaluate(wl, &df, cfg).unwrap()
     }
 
@@ -1058,14 +1079,44 @@ mod tests {
     }
 
     #[test]
+    fn tilings_that_do_not_fit_the_array_are_rejected() {
+        use omega_dataflow::{IntraTiling, LoopOrder, Phase};
+        let wl = small_workload();
+        let cfg = AccelConfig::paper_default();
+        // PP_AC(VsFsNt, VsGsFt) with tiles (32,1,16, 32,16,1): two 512-PE
+        // partitions running at once need 1,024 PEs.
+        let agg_order = LoopOrder::new(Phase::Aggregation, [Dim::V, Dim::F, Dim::N]).unwrap();
+        let cmb_order = LoopOrder::new(Phase::Combination, [Dim::V, Dim::G, Dim::F]).unwrap();
+        let pp = GnnDataflow {
+            inter: InterPhase::ParallelPipeline,
+            phase_order: PhaseOrder::AC,
+            agg: IntraTiling::new(Phase::Aggregation, agg_order, [32, 16, 1]),
+            cmb: IntraTiling::new(Phase::Combination, cmb_order, [32, 16, 1]),
+        };
+        assert_eq!(pp.to_string(), "PP_AC(VsFsNt, VsGsFt)");
+        assert_eq!(
+            evaluate(&wl, &pp, &cfg).unwrap_err(),
+            EvalError::Oversubscribed { needed: 1024, available: 512 }
+        );
+        // Time-sharing the array, each 512-PE phase fits on its own.
+        let sp = GnnDataflow { inter: InterPhase::SequentialPipeline, ..pp };
+        assert!(evaluate(&wl, &sp, &cfg).is_ok());
+        // One phase alone larger than the array never fits.
+        let small = AccelConfig::paper_default().with_pes(256);
+        assert_eq!(
+            evaluate(&wl, &sp, &small).unwrap_err(),
+            EvalError::Oversubscribed { needed: 512, available: 256 }
+        );
+    }
+
+    #[test]
     fn gat_cached_evaluation_is_bit_identical() {
         let wl = gat_workload();
         let cfg = AccelConfig::paper_default();
         let prep = PreparedEval::new(&wl, &cfg);
         let cache = PhaseSimCache::new();
-        let ctx = wl.tile_context(PhaseOrder::AC);
         for name in ["Seq1", "Seq2", "SP1", "SP2", "PP1"] {
-            let df = Preset::by_name(name).unwrap().concretize(&ctx, 512, 512);
+            let df = crate::dse::concretize_preset(&Preset::by_name(name).unwrap(), &wl, &cfg);
             let direct = prep.evaluate(&df).unwrap();
             let cached = prep.evaluate_with_cache(&df, &cache).unwrap();
             assert_eq!(direct.total_cycles, cached.total_cycles, "{name}");
@@ -1140,9 +1191,8 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let prep = PreparedEval::new(&wl, &cfg);
         let cache = PhaseSimCache::new();
-        let ctx = wl.tile_context(PhaseOrder::AC);
         for name in ["Seq1", "Seq2", "SP1", "SP2", "PP1"] {
-            let df = Preset::by_name(name).unwrap().concretize(&ctx, 512, 512);
+            let df = crate::dse::concretize_preset(&Preset::by_name(name).unwrap(), &wl, &cfg);
             let direct = prep.evaluate(&df).unwrap();
             let cached = prep.evaluate_with_cache(&df, &cache).unwrap();
             assert_eq!(direct.total_cycles, cached.total_cycles, "{name}");

@@ -13,7 +13,7 @@ use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{GnnDataflow, InterPhase, IntraTiling, Phase};
 
-use crate::dse::{dse_verdict, key_cmp, parallel_search, ParallelJob};
+use crate::dse::{concretize_preset, dse_verdict, key_cmp, parallel_search, ParallelJob};
 use crate::{evaluate, CostReport, GnnWorkload, PreparedEval};
 
 /// What the mapper minimises.
@@ -73,17 +73,6 @@ pub(crate) fn phase_pe_budgets(inter: InterPhase, cfg: &AccelConfig) -> (usize, 
     } else {
         (cfg.num_pes, cfg.num_pes)
     }
-}
-
-/// `preset` concretised for `workload` within [`phase_pe_budgets`].
-pub(crate) fn concretize_preset(
-    preset: &Preset,
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-) -> GnnDataflow {
-    let ctx = workload.tile_context(preset.pattern.phase_order);
-    let (agg_pes, cmb_pes) = phase_pe_budgets(preset.pattern.inter, cfg);
-    preset.concretize(&ctx, agg_pes, cmb_pes)
 }
 
 /// The nine Table V presets concretised for this workload (PP split 50-50).
@@ -159,7 +148,7 @@ pub fn best_of(
     };
     let prep = PreparedEval::new(workload, cfg);
     let score = |dataflow: &GnnDataflow, _index: usize, _thr: f64| {
-        dse_verdict(prep.evaluate_dse(dataflow, None, None), objective)
+        dse_verdict(prep.evaluate_dse(dataflow, None, &|_| false), objective)
     };
     let (merged, evaluated, skipped, _pruned) =
         parallel_search(candidates.len(), &|i| candidates[i], &score, &job);

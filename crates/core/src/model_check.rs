@@ -100,7 +100,7 @@ mod tests {
         let wl = GnnWorkload::gcn_layer(&d, 16);
         let cfg = AccelConfig::paper_default();
         for preset in Preset::all() {
-            let df = crate::mapper::concretize_preset(&preset, &wl, &cfg);
+            let df = crate::dse::concretize_preset(&preset, &wl, &cfg);
             let report = evaluate(&wl, &df, &cfg).unwrap();
             verify_report(&report, &wl).unwrap_or_else(|e| panic!("{}: {e}", preset.name));
         }

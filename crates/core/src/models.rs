@@ -28,11 +28,11 @@ use serde::Serialize;
 use omega_accel::engine::{ElementwiseOp, GemmDims, OperandClasses};
 use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
-use omega_dataflow::tiles::choose_tiling;
+use omega_dataflow::tiles::{choose_tiling, PhasePolicy, TileContext};
 use omega_dataflow::{GnnDataflow, InterPhase, PhaseOrder};
 
 use crate::evaluate::{intermediate_pel, phase_opts, plan, PhaseKey, PhaseOp};
-use crate::mapper::concretize_preset;
+use crate::dse::concretize_preset;
 use crate::multiphase::{Chain, ChainError, ChainNode, Link, PartitionSplit, Stage};
 use crate::{EvalError, GnnWorkload};
 
@@ -265,13 +265,12 @@ impl GnnModel {
 /// Re-tiles a stage that no longer fits its PE allocation (a partitioned
 /// inter-layer link squeezed it): same pattern, balanced growth under the
 /// reduced budget. Stages that already fit keep their original tiling.
-fn fit_stage(stage: &mut Stage, ctx: &omega_dataflow::tiles::TileContext, budget: usize) {
+fn fit_stage(stage: &mut Stage, ctx: &TileContext, budget: usize) {
     if stage.pe_footprint() <= budget {
         return;
     }
     let pattern = stage.tiling().to_pattern();
-    stage.key.tiling =
-        choose_tiling(&pattern, ctx, budget, &crate::dse::balanced_policy(&pattern));
+    stage.key.tiling = choose_tiling(&pattern, ctx, budget, &PhasePolicy::balanced(&pattern));
 }
 
 /// Lowers a whole GNN model onto a multiphase [`Chain`]: each layer's stages
@@ -362,15 +361,6 @@ pub(crate) fn lower(
             stages.push(stage("mlp", key, false));
         }
         layer_stages.push(stages);
-    }
-
-    // Every stage must at least fit the target machine (candidates may have
-    // been concretised for a larger array).
-    for (stages, (wl, df)) in layer_stages.iter_mut().zip(wls.iter().zip(layer_dataflows)) {
-        let ctx = wl.tile_context(df.phase_order);
-        for stage in stages.iter_mut() {
-            fit_stage(stage, &ctx, cfg.num_pes);
-        }
     }
 
     // Partitioned inter-layer links squeeze the boundary stages: re-tile them
@@ -482,6 +472,21 @@ mod tests {
         assert_eq!((wls[0].f, wls[0].g), (1433, 16));
         assert_eq!((wls[1].f, wls[1].g), (16, 7));
         assert!(wls[0].name.contains("[L0]"));
+    }
+
+    #[test]
+    fn layers_tiled_for_a_larger_array_do_not_lower() {
+        let model = GnnModel::gcn_2layer(7);
+        let b = base();
+        let big = AccelConfig::paper_default().with_pes(2048);
+        let dfs = uniform_layer_dataflows(&model, &b, &Preset::by_name("Seq1").unwrap(), &big)
+            .unwrap();
+        let small = AccelConfig::paper_default();
+        let err = to_chain(&model, &b, &dfs, &[Link::Sequential], &small).unwrap_err();
+        assert!(
+            matches!(err, ModelError::Layer(EvalError::Oversubscribed { available: 512, .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 
 use serde::Serialize;
 
-use crate::{Dim, IntraPattern, IntraTiling, MappingSpec, Phase, PhaseOrder};
+use crate::{
+    Dim, GnnDataflow, GnnDataflowPattern, IntraPattern, IntraTiling, MappingSpec, Phase, PhaseOrder,
+};
 
 /// Workload dimensions the tile chooser needs.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -135,6 +137,21 @@ impl PhasePolicy {
         }
     }
 
+    /// The balanced policy the explorers concretise every enumerated pattern
+    /// with: round-robin growth over the dims `pattern` allows to be spatial,
+    /// the neighbour tile capped at the mean degree.
+    pub fn balanced(pattern: &IntraPattern) -> Self {
+        let dims: Vec<Dim> = pattern
+            .order()
+            .dims()
+            .into_iter()
+            .zip(pattern.maps())
+            .filter(|&(_, m)| m != MappingSpec::Temporal)
+            .map(|(d, _)| d)
+            .collect();
+        Self::round_robin(&dims).with_cap(Dim::N, Cap::MeanDegreePow2)
+    }
+
     /// Returns a copy with a cap applied to `dim` (adding the rule if absent).
     pub fn with_cap(mut self, dim: Dim, cap: Cap) -> Self {
         if let Some(r) = self.rules.iter_mut().find(|r| r.dim == dim) {
@@ -236,6 +253,22 @@ pub fn choose_tiling(
     }
 
     IntraTiling::new(phase, pattern.order(), tiles)
+}
+
+impl GnnDataflowPattern {
+    /// Concretises the pattern for a workload with [`PhasePolicy::balanced`]
+    /// tiles within the given per-phase PE budgets — the pattern-space
+    /// counterpart of [`crate::presets::Preset::concretize`], with the same
+    /// budget convention (the full array twice for Seq/SP, the two partition
+    /// sizes for PP).
+    pub fn concretize(&self, ctx: &TileContext, agg_pes: usize, cmb_pes: usize) -> GnnDataflow {
+        GnnDataflow {
+            inter: self.inter,
+            phase_order: self.phase_order,
+            agg: choose_tiling(&self.agg, ctx, agg_pes, &PhasePolicy::balanced(&self.agg)),
+            cmb: choose_tiling(&self.cmb, ctx, cmb_pes, &PhasePolicy::balanced(&self.cmb)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@ fn main() {
         "pipeline_gantt needs a PP preset (PP1..PP4)"
     );
 
-    let agg_pes = ((hw.num_pes as f64 * agg_fraction) as usize).clamp(1, hw.num_pes - 1);
+    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_fraction);
     let ctx = wl.tile_context(preset.pattern.phase_order);
-    let df = preset.concretize(&ctx, agg_pes, hw.num_pes - agg_pes);
+    let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
     let report = evaluate(&wl, &df, &hw).expect("legal dataflow");
 
     // Reconstruct the schedule from the chunk durations and the pipeline

@@ -374,3 +374,22 @@ fn model_search_on_sampled_scale_subgraph_is_thread_invariant() {
     assert_eq!(key(&a), key(&b));
     assert_eq!((a.evaluated, a.skipped, a.space), (b.evaluated, b.skipped, b.space));
 }
+
+/// A PP dataflow splits the array into two concurrent partitions, so on a
+/// 1-PE array every PP candidate oversubscribes it: the sweep must skip all
+/// 1,024 PP patterns (and the PP preset seeds) instead of ranking a 1 + 1-PE
+/// pipeline.
+#[test]
+fn explore_on_one_pe_ranks_no_pp_dataflow() {
+    let workload = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
+    let hw = AccelConfig::paper_default().with_pes(1);
+    let out = dse::explore(&workload, &hw, &DseOptions { threads: 2, ..DseOptions::default() });
+    assert!(!out.ranked.is_empty());
+    assert!(out.ranked.iter().all(|r| r.dataflow.inter != InterPhase::ParallelPipeline));
+    assert!(out.skipped >= 1024, "skipped {}", out.skipped);
+    let pp1 = dse::concretize_preset(&Preset::by_name("PP1").unwrap(), &workload, &hw);
+    assert_eq!(
+        evaluate(&workload, &pp1, &hw).unwrap_err(),
+        omega_gnn::core::EvalError::Oversubscribed { needed: 2, available: 1 }
+    );
+}

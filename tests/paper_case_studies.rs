@@ -10,21 +10,15 @@ fn workload(name: &str) -> GnnWorkload {
 
 fn eval_pp_split(wl: &GnnWorkload, preset_name: &str, agg_frac: f64, hw: &AccelConfig) -> u64 {
     let preset = Preset::by_name(preset_name).expect("preset");
-    let agg = ((hw.num_pes as f64 * agg_frac) as usize).clamp(1, hw.num_pes - 1);
+    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_frac);
     let ctx = wl.tile_context(preset.pattern.phase_order);
-    let df = preset.concretize(&ctx, agg, hw.num_pes - agg);
+    let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
     evaluate(wl, &df, hw).expect("legal").total_cycles
 }
 
 fn eval_preset(wl: &GnnWorkload, preset_name: &str, hw: &AccelConfig) -> u64 {
     let preset = Preset::by_name(preset_name).expect("preset");
-    let ctx = wl.tile_context(preset.pattern.phase_order);
-    let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-        (hw.num_pes / 2, hw.num_pes / 2)
-    } else {
-        (hw.num_pes, hw.num_pes)
-    };
-    let df = preset.concretize(&ctx, a, c);
+    let df = dse::concretize_preset(&preset, wl, hw);
     evaluate(wl, &df, hw).expect("legal").total_cycles
 }
 

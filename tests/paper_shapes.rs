@@ -16,13 +16,7 @@ fn grid() -> &'static HashMap<(String, String), CostReport> {
         for dataset in omega_gnn::graph::suite(0x0E5A_2022) {
             let wl = GnnWorkload::gcn_layer(&dataset, 16);
             for preset in Preset::all() {
-                let ctx = wl.tile_context(preset.pattern.phase_order);
-                let (a, c) = if preset.pattern.inter == InterPhase::ParallelPipeline {
-                    (256, 256)
-                } else {
-                    (512, 512)
-                };
-                let df = preset.concretize(&ctx, a, c);
+                let df = dse::concretize_preset(&preset, &wl, &hw);
                 let report = evaluate(&wl, &df, &hw).expect("legal preset");
                 out.insert((dataset.name().to_string(), preset.name.to_string()), report);
             }
