@@ -6,7 +6,8 @@ use std::hint::black_box;
 
 use omega_accel::engine::{simulate_gemm, simulate_spmm, EngineOptions, GemmDims, OperandClasses, SpmmWorkload};
 use omega_accel::AccelConfig;
-use omega_core::mapper::{best_of, preset_candidates, Objective};
+use omega_core::dse::{explore_candidates, DseOptions};
+use omega_core::mapper::{preset_candidates, Objective};
 use omega_core::GnnWorkload;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{Dim, IntraTiling, LoopOrder, Phase};
@@ -90,7 +91,8 @@ fn bench_mapper(c: &mut Criterion) {
     let mut g = c.benchmark_group("mapper");
     g.sample_size(10);
     g.bench_function("presets_mutag", |b| {
-        b.iter(|| black_box(best_of(&candidates, &wl, &cfg, Objective::Runtime, 4)))
+        let opts = DseOptions { threads: 4, top_k: 1, ..DseOptions::new(Objective::Runtime) };
+        b.iter(|| black_box(explore_candidates(&candidates, &wl, &cfg, &opts)))
     });
     g.finish();
     // Keep a preset alive so the dependency is exercised end to end.

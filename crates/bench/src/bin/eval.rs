@@ -132,9 +132,11 @@ fn main() -> ExitCode {
     // `--agg-pes` sizes a PP dataflow's Aggregation partition explicitly;
     // without it the core budget rule (a 50-50 split) applies.
     let agg_fraction = args.agg_pes.map(|agg_pes| agg_pes as f64 / args.pes as f64);
+    // Below 2 PEs there is no split; the budget rule's dataflow is then
+    // refused by `evaluate` like any PP dataflow on 1 PE.
     let pp_split = |inter: InterPhase| {
         let f = agg_fraction.filter(|_| inter == InterPhase::ParallelPipeline)?;
-        Some(PartitionSplit::fraction(cfg.num_pes, f))
+        PartitionSplit::fraction(cfg.num_pes, f)
     };
     let df: GnnDataflow = if let Some(name) = &args.preset {
         let Some(preset) = Preset::by_name(name) else {

@@ -27,10 +27,10 @@ use std::process::ExitCode;
 use omega_accel::engine::ElementwiseOp;
 use omega_accel::AccelConfig;
 use omega_core::dse::model::{explore_model, ModelDseOptions, ModelExploreOutcome};
-use omega_core::dse::{explore, DseCache, DseOptions, ExploreOutcome};
+use omega_core::dse::{explore, explore_candidates, DseCache, DseOptions, ExploreOutcome};
 use omega_core::mapper::{self, Objective};
 use omega_core::models::GnnModel;
-use omega_core::{evaluate, GnnWorkload};
+use omega_core::GnnWorkload;
 use omega_graph::DatasetSpec;
 
 struct Args {
@@ -427,17 +427,15 @@ fn main() -> ExitCode {
     // The paper-relevant question: how much do Table V's presets leave on the
     // table versus the true optimum of the space?
     if let Some(best) = outcome.best() {
-        let preset_best = mapper::extended_candidates(&workload, &cfg)
-            .iter()
-            .filter_map(|df| evaluate(&workload, df, &cfg).ok().map(|r| (args.objective.score(&r), df.to_string())))
-            .min_by(|a, b| a.0.total_cmp(&b.0));
-        if let Some((preset_score, preset_name)) = preset_best {
+        let presets = mapper::extended_candidates(&workload, &cfg);
+        let preset_opts = DseOptions { top_k: 1, refine_steps: 0, pareto: false, ..opts };
+        if let Some(preset) = explore_candidates(&presets, &workload, &cfg, &preset_opts).best() {
             println!(
                 "\npreset gap: best preset {} scores {:.4e}; exhaustive optimum {:.4e} ({:.2}% on the table)",
-                preset_name,
-                preset_score,
+                preset.dataflow,
+                preset.score,
                 best.score,
-                100.0 * (preset_score / best.score - 1.0),
+                100.0 * (preset.score / best.score - 1.0),
             );
         }
     }

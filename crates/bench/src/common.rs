@@ -55,7 +55,7 @@ pub fn eval_preset_with_split(
     cfg: &AccelConfig,
     agg_fraction: f64,
 ) -> EvalPoint {
-    let split = PartitionSplit::fraction(cfg.num_pes, agg_fraction);
+    let split = PartitionSplit::fraction(cfg.num_pes, agg_fraction).expect("PP needs >= 2 PEs");
     let ctx = workload.tile_context(preset.pattern.phase_order);
     let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
     eval_point(preset, workload, cfg, df)

@@ -1,26 +1,36 @@
 //! Exhaustive parallel design-space exploration (DSE) over the paper's
 //! 6,656-choice dataflow space (Section III-C).
 //!
-//! The mapper of [`crate::mapper`] answers "which of *these* candidates is
-//! best?"; this module answers the question the paper says mappers and DSE
-//! tools actually need (Section I): **what is the true optimum of the full
-//! enumerated space for this workload?** It does so with:
+//! Every ranking in the crate runs through one crate-private driver,
+//! `Search`: seed → prune → front → rank. It owns
 //!
-//! * a streaming, chunked work queue over [`PatternSpace`] — workers claim
-//!   index ranges from an atomic cursor, materialise each pattern on demand,
-//!   concretise it with the balanced tile policy, and evaluate it; the space is
-//!   never collected into a `Vec`;
-//! * per-worker top-K reduction merged at join, with deterministic
-//!   (thread-count-independent) tie-breaking by pattern index;
-//! * seeding with the Table V presets and their CA companions
-//!   (their hand-tuned tile policies are not always reachable by the balanced
-//!   concretisation, so seeding guarantees the reported optimum is never worse
-//!   than any preset);
-//! * an optional second refinement stage that hill-climbs tile sizes around
-//!   each surviving winner ([`crate::mapper::refine_tiles`]);
-//! * a workload-keyed [`DseCache`] so repeated sweeps (e.g. the bench harness
-//!   evaluating 12 knob points against the exhaustive optimum) never re-search
-//!   the same workload.
+//! * the seeds, evaluated first at indices past the enumerated space (so
+//!   ties break deterministically and they report no index), whose `k`-th
+//!   best distinct score is the initial pruning threshold;
+//! * a streaming, chunked work queue over the enumerated space — workers
+//!   claim index ranges from an atomic cursor and materialise each candidate
+//!   on demand, so the space is never collected into a `Vec` — with
+//!   per-worker top-K reduction and a shared pruning threshold;
+//! * the mutex-guarded Pareto frontier and cooperative cancellation;
+//! * one `rank`: sort by `(score, index)`, dedup by candidate, keep `k` —
+//!   thread-count-independent tie-breaking by index.
+//!
+//! Its adapters are thin:
+//!
+//! * [`explore`] searches the [`PatternSpace`], each pattern concretised with
+//!   the balanced tile policy and seeded with the Table V presets and their
+//!   CA companions (their hand-tuned tile policies are not always reachable
+//!   by the balanced concretisation, so the reported optimum is never worse
+//!   than any preset), with an optional refinement post-step that
+//!   hill-climbs tile sizes around each winner
+//!   ([`crate::mapper::refine_tiles`]) and re-ranks;
+//! * [`explore_candidates`] ranks a given candidate list the same way —
+//!   the mapper's "which of *these* candidates is best?";
+//! * [`model::explore_model`] searches whole-model mappings.
+//!
+//! A workload-keyed [`DseCache`] means repeated sweeps (e.g. the bench
+//! harness evaluating 12 knob points against the exhaustive optimum) never
+//! re-search the same workload.
 
 use std::collections::HashMap;
 use std::io;
@@ -37,7 +47,7 @@ use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{GnnDataflow, GnnDataflowPattern};
 
-use crate::evaluate::{DseBound, DseEval};
+use crate::evaluate::DseEval;
 use crate::mapper::{phase_pe_budgets, refine_tiles, Objective};
 use crate::{CostReport, GnnWorkload, PhaseSimCache, PreparedEval};
 
@@ -232,6 +242,13 @@ impl<C, R> Entry<C, R> {
     fn key(&self) -> (f64, usize) {
         (self.score, self.index)
     }
+
+    /// This entry as a search reports it: indices below `count` are
+    /// enumerated, the rest seeds.
+    fn found(self, count: usize) -> Found<C, R> {
+        let index = (self.index < count).then_some(self.index);
+        Found { score: self.score, index, candidate: self.candidate, report: self.report }
+    }
 }
 
 /// Bounded best-K accumulator, kept sorted ascending by `(score, index)` and
@@ -269,7 +286,8 @@ impl<C: PartialEq, R> TopK<C, R> {
                 return;
             }
         }
-        let pos = self.entries.partition_point(|x| key_cmp(x.key(), key) == Less);
+        // After any equal key: an earlier offer wins ties, as in a stable sort.
+        let pos = self.entries.partition_point(|x| key_cmp(x.key(), key) != Greater);
         self.entries.insert(pos, e);
         self.entries.truncate(self.k);
     }
@@ -298,9 +316,9 @@ fn dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
 /// since dominance is transitive, the surviving set is exactly the
 /// non-dominated subset of everything ever offered, regardless of the
 /// interleaving. Equal vectors are all kept (neither dominates); the
-/// finalisation dedups by candidate. Generic over the candidate/report pair:
-/// [`explore`] accumulates dataflows, [`model::explore_model`] whole-model
-/// mappings.
+/// finalisation dedups by candidate. Owned by [`Search`], so generic over the
+/// candidate/report pair: dataflows for [`explore`], whole-model mappings for
+/// [`model::explore_model`].
 pub(crate) struct ParetoFront<C, R> {
     entries: Vec<Entry<C, (R, [f64; 3])>>,
 }
@@ -330,9 +348,9 @@ impl<C: PartialEq, R> ParetoFront<C, R> {
     /// The frontier in deterministic order: sorted by the axis vector then the
     /// tie-break index, deduplicated by candidate (a preset seed and its
     /// enumerated twin share axes; the enumerated copy's smaller index wins,
-    /// keeping the in-space index populated). Each element is
-    /// `(index, candidate, report, axes)`.
-    pub(crate) fn into_sorted(mut self) -> Vec<(usize, C, R, [f64; 3])> {
+    /// keeping the in-space index populated). Indices below `count` are
+    /// enumerated; each point's score is its runtime axis.
+    pub(crate) fn into_sorted(mut self, count: usize) -> Vec<Found<C, R>> {
         self.entries.sort_by(|a, b| {
             let (va, vb) = (&a.report.1, &b.report.1);
             va[0].total_cmp(&vb[0])
@@ -340,13 +358,11 @@ impl<C: PartialEq, R> ParetoFront<C, R> {
                 .then(va[2].total_cmp(&vb[2]))
                 .then(a.index.cmp(&b.index))
         });
-        let mut out: Vec<(usize, C, R, [f64; 3])> = Vec::with_capacity(self.entries.len());
-        for e in self.entries {
-            if out.iter().any(|(_, c, _, _)| *c == e.candidate) {
-                continue;
+        let mut out: Vec<Found<C, R>> = Vec::with_capacity(self.entries.len());
+        for Entry { score, index, candidate, report: (report, _) } in self.entries {
+            if !out.iter().any(|f| f.candidate == candidate) {
+                out.push(Entry { score, index, candidate, report }.found(count));
             }
-            let (report, axes) = e.report;
-            out.push((e.index, e.candidate, report, axes));
         }
         out
     }
@@ -377,130 +393,309 @@ impl CancelToken {
     }
 }
 
-/// A scored candidate: `(score, tie-break index, dataflow, report)`.
-pub(crate) type Scored = (f64, usize, GnnDataflow, CostReport);
-
-/// A generic scored candidate: `(score, tie-break index, candidate, report)`.
-pub(crate) type ScoredEntry<C, R> = (f64, usize, C, R);
-
-/// How one candidate fared inside [`parallel_search`].
+/// How one candidate fared inside a [`Search`].
 pub(crate) enum Verdict<R> {
     /// Evaluated successfully: `(objective value, report)`.
     Score(f64, R),
     /// Structurally invalid — counted as skipped, as if it never evaluated.
     Skip,
-    /// Lower-bound-pruned against the shared threshold — simulation elided.
+    /// Ruled out by its [`Gate`] — simulation elided.
     Prune,
 }
 
-/// Shape of any streaming parallel candidate search.
-pub(crate) struct ParallelJob {
-    /// Winners to keep per worker (and overall).
+/// Admissible lower bounds on a candidate's report, read lazily by a
+/// [`Gate`] so a runtime-pruned search never pays for the energy and
+/// footprint axes.
+pub(crate) trait Bound {
+    /// Lower bound on the runtime axis (cycles).
+    fn cycles(&self) -> f64;
+    /// Lower bounds on every [`Axes`] axis, in the same order.
+    fn vector(&self) -> [f64; 3];
+}
+
+/// A report's Pareto axis vector: runtime cycles, total energy (pJ), and the
+/// composed on-chip working-set peak (bytes).
+pub(crate) trait Axes {
+    fn axes(&self) -> [f64; 3];
+}
+
+impl Axes for CostReport {
+    fn axes(&self) -> [f64; 3] {
+        [self.total_cycles as f64, self.energy.total_pj(), self.buffer_peak_bytes as f64]
+    }
+}
+
+/// What a [`Search`] lets its evaluation closure prune on. A `true` from
+/// [`Gate::prunes`] is sound exactly when the bound is admissible: the real
+/// report is component-wise no better than it.
+pub(crate) enum Gate<'g, C, R> {
+    /// Never prune (seeds, and searches run without pruning).
+    Open,
+    /// Prune when the cycle bound exceeds the shared top-K threshold.
+    Threshold(f64),
+    /// Prune when some frontier point strictly beats the bound vector on
+    /// every axis.
+    Front(&'g Mutex<ParetoFront<C, R>>),
+}
+
+impl<C: PartialEq, R> Gate<'_, C, R> {
+    /// Whether a candidate with lower bounds `bound` can be skipped without
+    /// changing the search's answer.
+    pub(crate) fn prunes(&self, bound: &impl Bound) -> bool {
+        match self {
+            Gate::Open => false,
+            Gate::Threshold(thr) => bound.cycles() > *thr,
+            Gate::Front(front) => lock_recover(front).strictly_dominates(&bound.vector()),
+        }
+    }
+}
+
+/// The role of the Pareto frontier in a [`Search`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrontMode {
+    /// No frontier is kept.
+    Off,
+    /// Every evaluated candidate is offered to a frontier that rides along
+    /// the scalar search; `ranked` stays the scalar top-K.
+    Alongside,
+    /// The frontier is the answer: it gates pruning by bound-vector
+    /// dominance, and `ranked` is its head in runtime order (the exact
+    /// runtime optimum first — nothing can dominate the min-runtime point
+    /// without beating its runtime).
+    Ranks,
+}
+
+/// One ranked (or frontier) candidate of a [`Search`].
+#[derive(Debug, Clone)]
+pub(crate) struct Found<C, R> {
+    /// Objective value; the runtime axis for frontier points.
+    pub score: f64,
+    /// Position in the enumerated space, `None` for a seed.
+    pub index: Option<usize>,
+    pub candidate: C,
+    pub report: R,
+}
+
+/// A [`Search`]'s evaluation closure: a candidate and its pruning [`Gate`]
+/// in, a [`Verdict`] out.
+pub(crate) type EvalFn<'s, C, R> = dyn for<'g> Fn(&C, &Gate<'g, C, R>) -> Verdict<R> + Sync + 's;
+
+/// The one search protocol behind every ranking in this crate — the layer
+/// sweep ([`explore`]), candidate-list ranking ([`explore_candidates`]) and
+/// the model sweep ([`model::explore_model`]):
+///
+/// 1. **seed** — evaluate the seeds at indices `count + j` (past the space,
+///    so ties break deterministically and they report no index); under
+///    threshold pruning their `k`-th best *distinct* score is the initial
+///    threshold, and the frontier starts from them;
+/// 2. **prune** — sweep the space on [`Self::parallel_search`], each candidate
+///    asking its [`Gate`] before simulating;
+/// 3. **front** — offer every evaluated candidate to the shared frontier;
+/// 4. **rank** — merge seeds and sweep winners through [`rank`].
+///
+/// Deterministic: the answer is independent of `threads`, `chunk` and
+/// `prune`, which only change the work performed.
+pub(crate) struct Search<'s, C, R> {
+    /// Size of the enumerated space: candidate `i < count` is `gen(i)`.
+    pub count: usize,
+    pub gen: &'s (dyn Fn(usize) -> C + Sync),
+    /// Candidates outside the space. One that fails to evaluate is dropped,
+    /// not counted as skipped.
+    pub seeds: Vec<C>,
+    /// Evaluates one candidate, asking the gate before simulating.
+    pub eval: &'s EvalFn<'s, C, R>,
+    /// Winners to rank (clamped to ≥ 1).
     pub k: usize,
+    /// Worker threads (clamped to ≥ 1).
     pub threads: usize,
     /// Candidates per work-queue claim.
     pub chunk: usize,
-    /// Starting value of the shared pruning threshold (`f64::INFINITY` when no
-    /// pre-evaluated entries warrant one).
-    pub init_threshold: f64,
-    /// Cooperative cancellation, checked at every chunk claim (`None` = never
-    /// cancelled). A cancelled search returns partial results the caller must
-    /// discard — determinism only holds for completed sweeps.
-    pub cancel: Option<CancelToken>,
+    /// Whether the gate may prune: against the top-K threshold, or by
+    /// frontier dominance under [`FrontMode::Ranks`].
+    pub prune: bool,
+    pub front: FrontMode,
+    /// Checked before the seeds and at every chunk claim; a cancelled search
+    /// returns `None`, never a partial answer.
+    pub cancel: Option<&'s CancelToken>,
 }
 
-/// Evaluates `count` candidates produced on demand by `gen` across scoped
-/// workers pulling chunked ranges from an atomic cursor; `score` turns a
-/// candidate (plus its enumeration index and the current pruning threshold)
-/// into a [`Verdict`]. Returns the merged (unsorted) per-worker top-K lists
-/// plus `(evaluated, skipped, pruned)` counts.
-///
-/// Workers share one atomic pruning threshold: whenever a worker holds `k`
-/// *distinct* retained candidates it publishes its worst retained score
-/// (`fetch_min` over the float's bit pattern — non-negative floats order like
-/// their bits), and `score` may answer [`Verdict::Prune`] for any candidate
-/// whose admissible lower bound exceeds the threshold it was handed. The
-/// ranked outcome is bit-identical with pruning on or off; only the work
-/// performed differs.
-///
-/// Generic over the candidate type: [`explore`] and [`crate::mapper::best_of`]
-/// search [`GnnDataflow`]s, [`model::explore_model`] searches whole-model
-/// mappings — all through this one deterministic (thread-count-invariant)
-/// primitive.
-pub(crate) fn parallel_search<C: Send + PartialEq, R: Send>(
-    count: usize,
-    gen: &(dyn Fn(usize) -> C + Sync),
-    score: &(dyn Fn(&C, usize, f64) -> Verdict<R> + Sync),
-    job: &ParallelJob,
-) -> (Vec<ScoredEntry<C, R>>, usize, usize, usize) {
-    if count == 0 {
-        return (Vec::new(), 0, 0, 0);
+/// What a [`Search`] found.
+pub(crate) struct Searched<C, R> {
+    /// Best first, deduplicated by candidate, at most `k`.
+    pub ranked: Vec<Found<C, R>>,
+    /// The Pareto frontier in axis order (empty under [`FrontMode::Off`]).
+    pub frontier: Vec<Found<C, R>>,
+    /// Each seed's score and report, `None` where it failed to evaluate.
+    pub seeds: Vec<Option<(f64, R)>>,
+    /// Successful evaluations, seeds included.
+    pub evaluated: usize,
+    /// Enumerated candidates that failed to evaluate.
+    pub skipped: usize,
+    /// Enumerated candidates their gate ruled out.
+    pub pruned: usize,
+    /// Seeds evaluated.
+    pub seeded: usize,
+}
+
+impl<C: Clone + PartialEq + Send + Sync, R: Axes + Clone + Send> Search<'_, C, R> {
+    /// Runs the search; `None` once [`Self::cancel`] fires.
+    pub(crate) fn run(mut self) -> Option<Searched<C, R>> {
+        if self.cancelled() {
+            return None;
+        }
+        self.k = self.k.max(1);
+        let seed_list = std::mem::take(&mut self.seeds);
+        let front = Mutex::new(ParetoFront::new());
+        // Evaluates one candidate, offering a success to the frontier.
+        let eval_at = |candidate: &C, index: usize, gate: Gate<'_, C, R>| {
+            let verdict = (self.eval)(candidate, &gate);
+            if let (true, Verdict::Score(_, report)) = (self.front != FrontMode::Off, &verdict) {
+                lock_recover(&front).offer(index, candidate.clone(), report.clone(), report.axes());
+            }
+            verdict
+        };
+        let mut pool = Vec::new();
+        let seeds: Vec<Option<(f64, R)>> = seed_list
+            .into_iter()
+            .enumerate()
+            .map(|(j, candidate)| {
+                let index = self.count + j;
+                let Verdict::Score(score, report) = eval_at(&candidate, index, Gate::Open) else {
+                    return None;
+                };
+                pool.push(Entry { score, index, candidate, report: report.clone() });
+                Some((score, report))
+            })
+            .collect();
+        let seeded = pool.len();
+        // Seeds are unconditionally part of the final pool, so a candidate
+        // that cannot beat `k` distinct seeds can never be ranked: a sound
+        // initial threshold, pruning from candidate one.
+        let mut distinct = TopK::new(self.k);
+        for e in &pool {
+            let (score, index) = e.key();
+            distinct.offer(Entry { score, index, candidate: &e.candidate, report: () });
+        }
+        let init_threshold = distinct.worst_at_capacity().unwrap_or(f64::INFINITY);
+
+        let score = |candidate: &C, index: usize, thr: f64| {
+            let gate = match (self.prune, self.front) {
+                (false, _) => Gate::Open,
+                (true, FrontMode::Ranks) => Gate::Front(&front),
+                (true, _) => Gate::Threshold(thr),
+            };
+            eval_at(candidate, index, gate)
+        };
+        let (merged, evaluated, skipped, pruned) = self.parallel_search(&score, init_threshold);
+        if self.cancelled() {
+            // The sweep stopped early: its partial top-K must not masquerade
+            // as the optimum.
+            return None;
+        }
+        pool.extend(merged);
+
+        let frontier =
+            front.into_inner().unwrap_or_else(PoisonError::into_inner).into_sorted(self.count);
+        let ranked = if self.front == FrontMode::Ranks {
+            frontier.iter().take(self.k).cloned().collect()
+        } else {
+            rank(pool, self.k, self.count)
+        };
+        let evaluated = evaluated + seeded;
+        Some(Searched { ranked, frontier, seeds, evaluated, skipped, pruned, seeded })
     }
-    let threads = job.threads.max(1).min(count);
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let threshold = AtomicU64::new(job.init_threshold.max(0.0).to_bits());
-    let threshold = &threshold;
-    let run_worker = || -> (TopK<C, R>, usize, usize, usize) {
-        let chunk = job.chunk.max(1);
-        let mut top = TopK::new(job.k);
-        let mut evaluated = 0usize;
-        let mut skipped = 0usize;
-        let mut pruned = 0usize;
-        loop {
-            if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= count {
-                break;
-            }
-            for index in start..(start + chunk).min(count) {
-                let candidate = gen(index);
-                let thr = f64::from_bits(threshold.load(Ordering::Relaxed));
-                match score(&candidate, index, thr) {
-                    Verdict::Score(score, report) => {
-                        evaluated += 1;
-                        top.offer(Entry { score, index, candidate, report });
-                        if let Some(worst) = top.worst_at_capacity() {
-                            if worst >= 0.0 {
-                                threshold.fetch_min(worst.to_bits(), Ordering::Relaxed);
+
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Evaluates the `count` enumerated candidates across scoped workers
+    /// pulling chunked ranges from an atomic cursor; `score` turns a
+    /// candidate, its index and the current pruning threshold into a
+    /// [`Verdict`]. Returns the merged (unsorted) per-worker top-K lists plus
+    /// `(evaluated, skipped, pruned)`.
+    ///
+    /// Workers share one atomic pruning threshold: whenever a worker holds
+    /// `k` *distinct* retained candidates it publishes its worst retained
+    /// score (`fetch_min` over the float's bit pattern — non-negative floats
+    /// order like their bits). Which candidates get pruned depends on the
+    /// interleaving; the ranked answer does not.
+    fn parallel_search(
+        &self,
+        score: &(dyn Fn(&C, usize, f64) -> Verdict<R> + Sync),
+        init_threshold: f64,
+    ) -> (Vec<Entry<C, R>>, usize, usize, usize) {
+        let count = self.count;
+        if count == 0 {
+            return (Vec::new(), 0, 0, 0);
+        }
+        let threads = self.threads.max(1).min(count);
+        let cursor = AtomicUsize::new(0);
+        let threshold = AtomicU64::new(init_threshold.max(0.0).to_bits());
+        let run_worker = || -> (TopK<C, R>, usize, usize, usize) {
+            let chunk = self.chunk.max(1);
+            let mut top = TopK::new(self.k);
+            let (mut evaluated, mut skipped, mut pruned) = (0, 0, 0);
+            while !self.cancelled() {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= count {
+                    break;
+                }
+                for index in start..(start + chunk).min(count) {
+                    let candidate = (self.gen)(index);
+                    let thr = f64::from_bits(threshold.load(Ordering::Relaxed));
+                    match score(&candidate, index, thr) {
+                        Verdict::Score(score, report) => {
+                            evaluated += 1;
+                            top.offer(Entry { score, index, candidate, report });
+                            if let Some(worst) = top.worst_at_capacity() {
+                                if worst >= 0.0 {
+                                    threshold.fetch_min(worst.to_bits(), Ordering::Relaxed);
+                                }
                             }
                         }
+                        Verdict::Skip => skipped += 1,
+                        Verdict::Prune => pruned += 1,
                     }
-                    Verdict::Skip => skipped += 1,
-                    Verdict::Prune => pruned += 1,
                 }
             }
-        }
-        (top, evaluated, skipped, pruned)
-    };
-    let results: Vec<(TopK<C, R>, usize, usize, usize)> = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|_| s.spawn(|_| run_worker())).collect();
-        handles.into_iter().map(|h| h.join().expect("dse worker panicked")).collect()
-    })
-    .expect("dse scope");
+            (top, evaluated, skipped, pruned)
+        };
+        let results: Vec<(TopK<C, R>, usize, usize, usize)> = thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|_| run_worker())).collect();
+            handles.into_iter().map(|h| h.join().expect("dse worker panicked")).collect()
+        })
+        .expect("dse scope");
 
-    let mut merged = Vec::new();
-    let mut evaluated = 0;
-    let mut skipped = 0;
-    let mut pruned = 0;
-    for (top, e, s, p) in results {
-        evaluated += e;
-        skipped += s;
-        pruned += p;
-        merged.extend(top.entries.into_iter().map(|e| (e.score, e.index, e.candidate, e.report)));
+        let mut merged = Vec::new();
+        let (mut evaluated, mut skipped, mut pruned) = (0, 0, 0);
+        for (top, e, s, p) in results {
+            evaluated += e;
+            skipped += s;
+            pruned += p;
+            merged.extend(top.entries);
+        }
+        (merged, evaluated, skipped, pruned)
     }
-    (merged, evaluated, skipped, pruned)
+}
+
+/// The one ranking: the best `k` of `pool` by `(score, index)`,
+/// deduplicated by candidate (the best-keyed copy wins — an enumerated
+/// candidate beats its seed twin); indices below `count` are enumerated.
+fn rank<C: PartialEq, R>(pool: Vec<Entry<C, R>>, k: usize, count: usize) -> Vec<Found<C, R>> {
+    let mut top = TopK::new(k);
+    pool.into_iter().for_each(|e| top.offer(e));
+    top.entries.into_iter().map(|e| e.found(count)).collect()
 }
 
 /// Turns a [`DseEval`] into a search [`Verdict`], stripping the per-chunk
 /// pipeline timelines before retention: ranked winners don't need them, and a
 /// poorly-tiled PP candidate's marks run to millions of entries — dropping
 /// them keeps per-worker top-K memory bounded. (Re-run [`evaluate`] on a
-/// winner to recover its timeline.) Shared by [`crate::mapper::best_of`] and
-/// [`explore`] so the mapper and explorer paths cannot diverge.
-pub(crate) fn dse_verdict(eval: DseEval, objective: Objective) -> Verdict<CostReport> {
+/// winner to recover its timeline.)
+///
+/// [`evaluate`]: crate::evaluate()
+fn dse_verdict(eval: DseEval, objective: Objective) -> Verdict<CostReport> {
     match eval {
         DseEval::Report(report) => {
             let mut report = *report;
@@ -556,219 +751,132 @@ pub fn explore_cancellable(
     opts: &DseOptions,
     cancel: &CancelToken,
 ) -> Option<ExploreOutcome> {
-    let t0 = Instant::now();
-    if cancel.is_cancelled() {
-        return None;
-    }
-    let replays0 = omega_accel::telemetry::class_replays();
     let space = PatternSpace::new();
-    let total = space.len();
-    let threads = opts.threads.max(1);
+    // The presets' hand-tuned concretisations are not always reachable by
+    // the balanced policy; seeding them means the optimum never loses to one.
+    let seeds = crate::mapper::extended_candidates(workload, cfg);
+    let gen = |i: usize| concretize_pattern(&space.get(i), workload, cfg);
+    search_dataflows(space.len(), &gen, seeds, workload, cfg, opts, Some(cancel))
+}
+
+/// Ranks a given candidate list for `workload` — the same search as
+/// [`explore`] over `candidates` instead of the pattern space, unseeded, so
+/// [`RankedDataflow::pattern_index`] is the position in `candidates` and
+/// [`ExploreOutcome::space`] their count. Candidates that fail validation
+/// count as skipped; under [`DseOptions::prune`] a candidate that provably
+/// cannot enter the ranked top-K is pruned instead of simulated.
+///
+/// ```
+/// use omega_core::dse::{explore_candidates, DseOptions};
+/// use omega_core::mapper::{preset_candidates, Objective};
+/// use omega_core::{AccelConfig, GnnWorkload};
+///
+/// let workload = GnnWorkload::gcn_layer(&omega_graph::DatasetSpec::mutag().generate(1), 16);
+/// let cfg = AccelConfig::paper_default();
+/// let presets = preset_candidates(&workload, &cfg);
+/// let opts = DseOptions::new(Objective::Runtime);
+/// let outcome = explore_candidates(&presets, &workload, &cfg, &opts);
+/// let best = outcome.best().expect("the presets evaluate");
+/// assert_eq!(presets[best.pattern_index.unwrap()], best.dataflow);
+/// ```
+pub fn explore_candidates(
+    candidates: &[GnnDataflow],
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+    opts: &DseOptions,
+) -> ExploreOutcome {
+    search_dataflows(candidates.len(), &|i| candidates[i], Vec::new(), workload, cfg, opts, None)
+        .expect("an uncancellable search always completes")
+}
+
+/// The dataflow adapter of [`Search`] shared by [`explore_cancellable`] and
+/// [`explore_candidates`]: one prepared workload and phase-simulation cache,
+/// the options' pruning and frontier rules, and the refinement post-step.
+fn search_dataflows(
+    count: usize,
+    gen: &(dyn Fn(usize) -> GnnDataflow + Sync),
+    seeds: Vec<GnnDataflow>,
+    workload: &GnnWorkload,
+    cfg: &AccelConfig,
+    opts: &DseOptions,
+    cancel: Option<&CancelToken>,
+) -> Option<ExploreOutcome> {
+    let t0 = Instant::now();
+    let replays0 = omega_accel::telemetry::class_replays();
     let prep = PreparedEval::new(workload, cfg);
     let phase_cache = PhaseSimCache::new();
     let cache_ref = opts.phase_cache.then_some(&phase_cache);
-
-    // Seed with the presets' hand-tuned concretisations *before* the sweep
-    // (indices past the space keep tie-breaking deterministic and mark them as
-    // non-enumerated). Seeds are unconditionally part of the final pool, so
-    // under Runtime pruning their K-th best distinct score is a sound initial
-    // threshold — the sweep can prune from candidate one.
-    let mut seeds: Vec<Scored> = Vec::new();
-    for (j, df) in crate::mapper::extended_candidates(workload, cfg).into_iter().enumerate() {
-        if let DseEval::Report(report) = prep.evaluate_dse(&df, cache_ref, &|_| false) {
-            let score = opts.objective.score(&report);
-            seeds.push((score, total + j, df, *report));
-        }
-    }
-    let seeded = seeds.len();
-    let pareto = opts.pareto;
-    let pruning = opts.prune && opts.objective == Objective::Runtime && !pareto;
-    let init_threshold =
-        if pruning { kth_distinct_score(&seeds, opts.top_k) } else { f64::INFINITY };
-
-    // In pareto mode the shared frontier starts from the seeds (they are part
-    // of the final pool unconditionally), so 3-axis bound-vector domination
-    // pruning can engage from candidate one. The single-objective top-K
-    // threshold is disabled instead: a runtime-dominated candidate can still
-    // be Pareto-optimal on energy or footprint.
-    let front: Mutex<ParetoFront<GnnDataflow, CostReport>> = Mutex::new(ParetoFront::new());
-    if pareto {
-        let mut f = lock_recover(&front);
-        for (_, index, df, report) in &seeds {
-            f.offer(*index, *df, report.clone(), report_axes(report));
-        }
-    }
-
-    let space_ref = &space;
-    let gen = move |i: usize| concretize_pattern(&space_ref.get(i), workload, cfg);
-    let prep_ref = &prep;
-    let front_ref = &front;
-    let score = move |dataflow: &GnnDataflow, index: usize, thr: f64| -> Verdict<CostReport> {
-        let prune_if = |bound: &DseBound<'_>| {
-            if pareto {
-                opts.prune && lock_recover(front_ref).strictly_dominates(&bound.vector())
-            } else {
-                pruning && bound.cycles() > thr
-            }
-        };
-        let eval = prep_ref.evaluate_dse(dataflow, cache_ref, &prune_if);
-        let verdict = dse_verdict(eval, opts.objective);
-        if pareto {
-            if let Verdict::Score(_, report) = &verdict {
-                lock_recover(front_ref).offer(
-                    index,
-                    *dataflow,
-                    report.clone(),
-                    report_axes(report),
-                );
-            }
-        }
-        verdict
+    let eval = |dataflow: &GnnDataflow, gate: &Gate<'_, GnnDataflow, CostReport>| {
+        dse_verdict(prep.evaluate_dse(dataflow, cache_ref, &|b| gate.prunes(b)), opts.objective)
     };
-    let job = ParallelJob {
+    // A Pareto search prunes by frontier dominance under any objective; a
+    // scalar one only under `Runtime`, the axis the cycle bound covers.
+    let found = Search {
+        count,
+        gen,
+        seeds,
+        eval: &eval,
         k: opts.top_k,
-        threads,
+        threads: opts.threads,
         chunk: opts.chunk,
-        init_threshold,
-        cancel: Some(cancel.clone()),
-    };
-    let (mut merged, mut evaluated, skipped, pruned) = parallel_search(total, &gen, &score, &job);
-    if cancel.is_cancelled() {
-        // The sweep stopped early: its partial top-K must not masquerade as
-        // the exhaustive optimum.
-        return None;
+        prune: opts.prune && (opts.pareto || opts.objective == Objective::Runtime),
+        front: if opts.pareto { FrontMode::Ranks } else { FrontMode::Off },
+        cancel,
     }
-    evaluated += seeded;
-    merged.extend(seeds);
-
-    let frontier = if pareto {
-        front
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_sorted()
-            .into_iter()
-            .map(|(index, dataflow, report, axes)| ParetoPoint {
-                dataflow,
-                runtime_cycles: report.total_cycles,
-                energy_pj: axes[1],
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                report,
-                pattern_index: (index < total).then_some(index),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let ranked = if pareto {
-        // The frontier is already deduplicated and in runtime order; its head
-        // is the exact runtime optimum (nothing can dominate the min-runtime
-        // point without beating its runtime).
-        frontier
-            .iter()
-            .take(opts.top_k)
-            .map(|p| RankedDataflow {
-                dataflow: p.dataflow,
-                report: p.report.clone(),
-                score: p.runtime_cycles as f64,
-                pattern_index: p.pattern_index,
-            })
-            .collect()
-    } else {
-        rank(merged, opts.top_k, total)
-    };
+    .run()?;
 
     // Refinement: hill-climb tile sizes around each surviving winner and
     // re-rank (refined entries can reshuffle or displace the unrefined ones).
     // Pareto mode skips it: hill-climbing is scalar-objective by construction.
+    let mut ranked = found.ranked;
     let mut refine_evals = 0;
-    let ranked = if opts.refine_steps > 0 && !pareto {
-        let mut pool: Vec<(f64, usize, GnnDataflow, CostReport)> = ranked
-            .iter()
-            .map(|r| {
-                (r.score, r.pattern_index.unwrap_or(usize::MAX / 2), r.dataflow, r.report.clone())
-            })
-            .collect();
-        for r in &ranked {
-            if let Some(refined) =
-                refine_tiles(&r.dataflow, workload, cfg, opts.objective, opts.refine_steps)
-            {
-                refine_evals += refined.evaluated;
-                pool.push((refined.score, usize::MAX, refined.dataflow, refined.report));
+    if opts.refine_steps > 0 && !opts.pareto {
+        let mut pool = Vec::new();
+        for r in ranked {
+            let steps = opts.refine_steps;
+            if let Some(x) = refine_tiles(&r.candidate, workload, cfg, opts.objective, steps) {
+                refine_evals += x.evaluated;
+                let index = usize::MAX;
+                pool.push(Entry { score: x.score, index, candidate: x.dataflow, report: x.report });
             }
+            let index = r.index.unwrap_or(usize::MAX / 2);
+            pool.push(Entry { score: r.score, index, candidate: r.candidate, report: r.report });
         }
-        evaluated += refine_evals;
-        rank(pool, opts.top_k, total)
-    } else {
-        ranked
-    };
+        ranked = rank(pool, opts.top_k, count);
+    }
 
+    let ranked_dataflow = |f: Found<GnnDataflow, CostReport>| RankedDataflow {
+        dataflow: f.candidate,
+        report: f.report,
+        score: f.score,
+        pattern_index: f.index,
+    };
     Some(ExploreOutcome {
-        ranked,
-        frontier,
-        space: total,
-        evaluated,
-        skipped,
-        pruned,
+        ranked: ranked.into_iter().map(ranked_dataflow).collect(),
+        frontier: found
+            .frontier
+            .into_iter()
+            .map(|f| ParetoPoint {
+                dataflow: f.candidate,
+                runtime_cycles: f.report.total_cycles,
+                energy_pj: f.report.energy.total_pj(),
+                buffer_peak_bytes: f.report.buffer_peak_bytes,
+                report: f.report,
+                pattern_index: f.index,
+            })
+            .collect(),
+        space: count,
+        evaluated: found.evaluated + refine_evals,
+        skipped: found.skipped,
+        pruned: found.pruned,
         phase_sims: phase_cache.misses(),
         phase_cache_hits: phase_cache.hits(),
-        seeded,
+        seeded: found.seeded,
         refine_evals,
         elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        threads,
+        threads: opts.threads.max(1),
         class_replays: omega_accel::telemetry::class_replays() - replays0,
     })
-}
-
-/// The Pareto axis vector of one evaluated dataflow: total cycles, total
-/// energy (pJ), and the composed on-chip working-set peak (bytes).
-fn report_axes(report: &CostReport) -> [f64; 3] {
-    [report.total_cycles as f64, report.energy.total_pj(), report.buffer_peak_bytes as f64]
-}
-
-/// The `k`-th best distinct-dataflow score among pre-evaluated entries — the
-/// sound initial pruning threshold derived from the preset seeds (they are in
-/// the final pool unconditionally, so any candidate that cannot beat `k`
-/// distinct seeds can never be ranked). `INFINITY` with fewer distinct seeds.
-fn kth_distinct_score(seeds: &[Scored], k: usize) -> f64 {
-    let mut sorted: Vec<&Scored> = seeds.iter().collect();
-    sorted.sort_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)));
-    let mut distinct: Vec<&GnnDataflow> = Vec::new();
-    for s in sorted {
-        if distinct.iter().any(|d| **d == s.2) {
-            continue;
-        }
-        distinct.push(&s.2);
-        if distinct.len() == k.max(1) {
-            return s.0;
-        }
-    }
-    f64::INFINITY
-}
-
-/// Sorts by `(score, index)`, deduplicates identical concrete dataflows, and
-/// keeps the best `k`.
-fn rank(
-    mut pool: Vec<(f64, usize, GnnDataflow, CostReport)>,
-    k: usize,
-    space: usize,
-) -> Vec<RankedDataflow> {
-    pool.sort_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)));
-    let mut out: Vec<RankedDataflow> = Vec::with_capacity(k);
-    for (score, index, dataflow, report) in pool {
-        if out.len() == k {
-            break;
-        }
-        if out.iter().any(|r| r.dataflow == dataflow) {
-            continue;
-        }
-        out.push(RankedDataflow {
-            dataflow,
-            report,
-            score,
-            pattern_index: (index < space).then_some(index),
-        });
-    }
-    out
 }
 
 /// Default bound on cached outcomes per [`DseCache`]. Generous — an outcome is
@@ -1050,18 +1158,11 @@ impl DseCache {
         }
     }
 
-    /// The process-wide shared cache (used by the bench sweeps and the
-    /// serving path). Capacity defaults to [`DEFAULT_CACHE_CAPACITY`];
-    /// the `OMEGA_DSE_CACHE_CAP` environment variable overrides it.
+    /// The process-wide shared cache (used by the bench sweeps), bounded to
+    /// [`DEFAULT_CACHE_CAPACITY`] entries.
     pub fn global() -> &'static DseCache {
         static GLOBAL: OnceLock<DseCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cap = std::env::var("OMEGA_DSE_CACHE_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_CACHE_CAPACITY);
-            DseCache::with_capacity(cap)
-        })
+        GLOBAL.get_or_init(DseCache::new)
     }
 
     /// Cached entries.
@@ -1642,8 +1743,8 @@ mod tests {
         let order: Vec<usize> = top.entries.iter().map(|e| e.index).collect();
         assert_eq!(order, vec![2, 1]); // NaN fell off the end of the top-2
         let pool = vec![
-            (f64::NAN, 0usize, df, report.clone()),
-            (1.0, 1, df, report.clone()),
+            Entry { score: f64::NAN, index: 0, candidate: df, report: report.clone() },
+            Entry { score: 1.0, index: 1, candidate: df, report: report.clone() },
         ];
         let ranked = rank(pool, 2, 10);
         assert_eq!(ranked[0].score, 1.0); // no panic, finite first
@@ -2113,24 +2214,124 @@ mod tests {
             (3, [3.0, 3.0, 3.0]), // dominated by 2
             (4, [1.0, 3.0, 2.0]), // duplicate axes of 1 — both kept, dedup later
         ];
-        let run = |order: &[usize]| -> Vec<(usize, [f64; 3])> {
-            let mut f: ParetoFront<usize, ()> = ParetoFront::new();
+        let run = |order: &[usize]| -> Vec<(Option<usize>, [f64; 3])> {
+            let mut f: ParetoFront<usize, [f64; 3]> = ParetoFront::new();
             for &i in order {
                 let (index, axes) = offers[i];
-                f.offer(index, index, (), axes);
+                f.offer(index, index, axes, axes);
             }
-            f.into_sorted().into_iter().map(|(i, _, _, a)| (i, a)).collect()
+            f.into_sorted(10).into_iter().map(|p| (p.index, p.report)).collect()
         };
         let fwd = run(&[0, 1, 2, 3, 4]);
         let rev = run(&[4, 3, 2, 1, 0]);
         assert_eq!(fwd, rev);
-        assert_eq!(fwd.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![1, 4, 2, 0]);
+        let order: Vec<Option<usize>> = [1, 4, 2, 0].into_iter().map(Some).collect();
+        assert_eq!(fwd.iter().map(|(i, _)| *i).collect::<Vec<_>>(), order);
         // Strict-dominance pruning test: a bound vector strictly above an
         // entry on all axes is prunable; touching any axis exactly is not.
         let mut f: ParetoFront<usize, ()> = ParetoFront::new();
         f.offer(0, 0, (), [1.0, 1.0, 1.0]);
         assert!(f.strictly_dominates(&[2.0, 2.0, 2.0]));
         assert!(!f.strictly_dominates(&[1.0, 2.0, 2.0]));
+    }
+
+    /// A toy report for the driver tests: its own axis vector.
+    impl Axes for [f64; 3] {
+        fn axes(&self) -> [f64; 3] {
+            *self
+        }
+    }
+
+    /// An exact (hence admissible) bound on a toy candidate.
+    struct ToyBound([f64; 3]);
+
+    impl Bound for ToyBound {
+        fn cycles(&self) -> f64 {
+            self.0[0]
+        }
+        fn vector(&self) -> [f64; 3] {
+            self.0
+        }
+    }
+
+    /// Toy candidates are integers: `c` and `c + 50` tie on the runtime axis
+    /// and differ on energy; every `c ≡ 9 (mod 10)` fails to evaluate.
+    fn toy_eval(c: &u32, gate: &Gate<'_, u32, [f64; 3]>) -> Verdict<[f64; 3]> {
+        if c % 10 == 9 {
+            return Verdict::Skip;
+        }
+        let axes = [(c % 50) as f64, ((c * 7) % 50) as f64, (c % 3) as f64];
+        if gate.prunes(&ToyBound(axes)) {
+            return Verdict::Prune;
+        }
+        Verdict::Score(axes[0], axes)
+    }
+
+    /// Searches the toy space `i ↦ 37·i mod 100` (a permutation of 0..100).
+    fn toy_search(
+        seeds: Vec<u32>,
+        (threads, chunk, prune): (usize, usize, bool),
+        front: FrontMode,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Searched<u32, [f64; 3]>> {
+        let gen = |i: usize| (i * 37 % 100) as u32;
+        let eval = &toy_eval;
+        let k = 30;
+        Search { count: 100, gen: &gen, seeds, eval, k, threads, chunk, prune, front, cancel }.run()
+    }
+
+    fn toy_key(found: &[Found<u32, [f64; 3]>]) -> Vec<(u32, Option<usize>, u64)> {
+        found.iter().map(|f| (f.candidate, f.index, f.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn search_driver_seeds_dedups_and_is_schedule_invariant() {
+        // 150 lies outside the space and ties the best score; 11 is the
+        // space's candidate 3; 9 fails to evaluate.
+        let seeds = vec![150, 11, 9];
+        let run = |schedule| toy_search(seeds.clone(), schedule, FrontMode::Off, None).unwrap();
+        let out = run((1, 4, true));
+        let head: Vec<(u32, Option<usize>)> =
+            out.ranked.iter().take(3).map(|f| (f.candidate, f.index)).collect();
+        assert_eq!(head, vec![(0, Some(0)), (50, Some(50)), (150, None)]);
+        let twins: Vec<Option<usize>> =
+            out.ranked.iter().filter(|f| f.candidate == 11).map(|f| f.index).collect();
+        assert_eq!(twins, vec![Some(3)], "the enumerated twin wins the dedup");
+        assert_eq!((out.seeded, out.skipped), (2, 10), "a failed seed is not a skip");
+        assert_eq!(out.seeds.iter().map(Option::is_some).collect::<Vec<_>>(), [true, true, false]);
+        assert_eq!(out.evaluated - out.seeded + out.skipped + out.pruned, 100);
+        assert!(out.pruned > 0, "the threshold never engaged");
+        for schedule in [(3, 1, true), (2, 7, false), (4, 3, true)] {
+            let other = run(schedule);
+            assert_eq!(toy_key(&other.ranked), toy_key(&out.ranked), "{schedule:?}");
+            assert_eq!(other.evaluated + other.pruned, out.evaluated + out.pruned);
+            assert_eq!(other.skipped, out.skipped);
+        }
+    }
+
+    #[test]
+    fn search_driver_pareto_ranks_the_frontier_head() {
+        let seeds = vec![150, 11];
+        let out = toy_search(seeds.clone(), (1, 4, true), FrontMode::Ranks, None).unwrap();
+        assert!(out.frontier.len() > 1);
+        assert_eq!(toy_key(&out.ranked), toy_key(&out.frontier[..out.ranked.len()]));
+        assert!(out.ranked.windows(2).all(|w| w[0].score <= w[1].score), "runtime order");
+        for schedule in [(3, 1, false), (2, 5, true)] {
+            let other = toy_search(seeds.clone(), schedule, FrontMode::Ranks, None).unwrap();
+            assert_eq!(toy_key(&other.frontier), toy_key(&out.frontier), "{schedule:?}");
+        }
+        // Riding along, the same frontier leaves the scalar ranking alone.
+        let along = toy_search(seeds.clone(), (2, 4, false), FrontMode::Alongside, None).unwrap();
+        let scalar = toy_search(seeds, (2, 4, false), FrontMode::Off, None).unwrap();
+        assert_eq!(toy_key(&along.frontier), toy_key(&out.frontier));
+        assert_eq!(toy_key(&along.ranked), toy_key(&scalar.ranked));
+    }
+
+    #[test]
+    fn search_driver_cancellation_returns_none() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        assert!(toy_search(vec![150], (2, 4, true), FrontMode::Off, Some(&cancel)).is_none());
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //!   [`Link::Pipelined`] over a small `Pel` ladder derived from the producing
 //!   layer's output size and a ladder of PE splits.
 //!
-//! The product is enumerated with O(1) mixed-radix indexing and driven through
-//! the same streaming, thread-deterministic `parallel_search` primitive as
-//! the layer-level engine; uniform Table V preset chains are seeded so the
-//! reported optimum is never worse than any fixed-preset accelerator.
+//! The product is enumerated with O(1) mixed-radix indexing and searched by
+//! the same seed → prune → front → rank driver as the layer-level engine
+//! (`dse::Search`), with the uniform Table V preset chains as its seeds — so
+//! the reported optimum is never worse than any fixed-preset accelerator —
+//! and no pruning: the Pareto frontier, when asked for, rides along the
+//! scalar ranking.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
@@ -33,7 +35,7 @@ use omega_accel::AccelConfig;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::GnnDataflow;
 
-use super::{lock_recover, parallel_search, DseCache, DseOptions, ParallelJob, ParetoFront};
+use super::{Axes, DseCache, DseOptions, FrontMode, Gate, Search, Verdict};
 use crate::mapper::Objective;
 use crate::models::{lower, to_chain, uniform_layer_dataflows, GnnModel, ModelError};
 use crate::multiphase::{
@@ -308,7 +310,8 @@ pub fn pel_ladder(total: u64, row: u64, rungs: usize) -> Vec<u64> {
 }
 
 /// Link options for one layer boundary: `Sequential`, plus a partitioned
-/// `Pipelined` per (`Pel` rung × producer split fraction).
+/// `Pipelined` per (`Pel` rung × producer split fraction) when the array can
+/// be split at all.
 fn link_options(
     producer_elems: u64,
     row_elems: u64,
@@ -316,8 +319,11 @@ fn link_options(
     opts: &ModelDseOptions,
 ) -> Vec<Link> {
     let mut out = vec![Link::Sequential];
-    let splits: Vec<PartitionSplit> =
-        opts.split_fractions.iter().map(|&f| PartitionSplit::fraction(cfg.num_pes, f)).collect();
+    let splits: Vec<PartitionSplit> = opts
+        .split_fractions
+        .iter()
+        .filter_map(|&f| PartitionSplit::fraction(cfg.num_pes, f))
+        .collect();
     for pel in pel_ladder(producer_elems, row_elems, opts.pel_rungs) {
         for &split in &splits {
             let link = Link::Pipelined { pel, split: Some(split) };
@@ -425,10 +431,10 @@ fn build_space_with_stats(
     (ModelSpace { layer_candidates, link_options }, phase_sims, phase_cache_hits)
 }
 
-/// The Pareto axis vector of one evaluated chain: end-to-end cycles, total
-/// energy (pJ), and the chain's composed working-set peak (bytes).
-fn chain_axes(report: &ChainReport) -> [f64; 3] {
-    [report.total_cycles as f64, report.energy.total_pj(), report.buffer_peak_bytes as f64]
+impl Axes for ChainReport {
+    fn axes(&self) -> [f64; 3] {
+        [self.total_cycles as f64, self.energy.total_pj(), self.buffer_peak_bytes as f64]
+    }
 }
 
 /// Lowers and evaluates one joint mapping end-to-end, returning its objective
@@ -468,124 +474,84 @@ pub fn explore_model(
     let total = space.len();
     let threads = opts.threads.max(1);
 
-    let space_ref = &space;
-    let gen = move |i: usize| space_ref.mapping(i);
+    let gen = |i: usize| space.mapping(i);
     let graph: Arc<[usize]> = Arc::from(base.degrees.as_slice());
     let operands = SparseOperands::new([&graph]);
     let stage_sims = PhaseSimCache::new();
-    let score_mapping = |m: &ModelMapping| -> Option<(f64, ChainReport)> {
-        let chain = lower(model, base, &m.layer_dataflows, &m.links, cfg, &graph).ok()?;
-        let mut r = evaluate_chain_in(&chain, cfg, &operands, Some(&stage_sims)).ok()?;
-        let s = opts.objective.score_chain(&r);
+    let eval = |m: &ModelMapping, _: &Gate<'_, ModelMapping, ChainReport>| {
+        let Ok(chain) = lower(model, base, &m.layer_dataflows, &m.links, cfg, &graph) else {
+            return Verdict::Skip;
+        };
+        let Ok(mut r) = evaluate_chain_in(&chain, cfg, &operands, Some(&stage_sims)) else {
+            return Verdict::Skip;
+        };
         // Winners don't need the per-chunk pipeline timelines; keep retention
         // memory bounded (re-evaluate a winner to recover them).
         for (_, stats) in &mut r.stages {
             stats.chunk_marks = Vec::new();
         }
-        Some((s, r))
+        Verdict::Score(opts.objective.score_chain(&r), r)
     };
-    // The joint sweep never prunes, so the Pareto frontier can ride along the
-    // scalar search without affecting it: every evaluated chain is offered.
-    let front: Mutex<ParetoFront<ModelMapping, ChainReport>> = Mutex::new(ParetoFront::new());
-    let front_ref = &front;
-    let pareto = opts.pareto;
-    let score = |m: &ModelMapping, index: usize, _thr: f64| -> super::Verdict<ChainReport> {
-        match score_mapping(m) {
-            Some((s, r)) => {
-                if pareto {
-                    lock_recover(front_ref).offer(
-                        index,
-                        m.clone(),
-                        r.clone(),
-                        chain_axes(&r),
-                    );
-                }
-                super::Verdict::Score(s, r)
-            }
-            None => super::Verdict::Skip,
-        }
-    };
-    let job = ParallelJob {
-        k: opts.top_k,
-        threads,
-        chunk: opts.chunk,
-        init_threshold: f64::INFINITY,
-        cancel: None,
-    };
-    let (mut merged, mut evaluated, skipped, _pruned) =
-        parallel_search(total, &gen, &score, &job);
-
     // Seed the uniform Table V preset chains (one preset for every layer,
     // sequential between layers): the reported optimum can never lose to a
     // fixed-dataflow accelerator, and the best of them is the baseline the
     // model gap is measured against.
-    let mut uniform: Option<UniformBaseline> = None;
-    let mut seeded = 0;
-    for (j, preset) in Preset::all().iter().enumerate() {
-        let Ok(layer_dataflows) = uniform_layer_dataflows(model, base, preset, cfg) else {
-            continue;
-        };
-        let links = vec![Link::Sequential; layer_dataflows.len().saturating_sub(1)];
-        let mapping = ModelMapping { layer_dataflows, links };
-        if let Some((s, r)) = score_mapping(&mapping) {
-            evaluated += 1;
-            seeded += 1;
-            if uniform.as_ref().is_none_or(|u| s < u.score) {
-                uniform = Some(UniformBaseline {
-                    preset: preset.name.to_string(),
-                    total_cycles: r.total_cycles,
-                    score: s,
-                });
-            }
-            if pareto {
-                lock_recover(&front).offer(
-                    total + j,
-                    mapping.clone(),
-                    r.clone(),
-                    chain_axes(&r),
-                );
-            }
-            merged.push((s, total + j, mapping, r));
-        }
+    let (names, seeds): (Vec<&str>, Vec<ModelMapping>) = Preset::all()
+        .iter()
+        .filter_map(|preset| {
+            let layer_dataflows = uniform_layer_dataflows(model, base, preset, cfg).ok()?;
+            let links = vec![Link::Sequential; layer_dataflows.len().saturating_sub(1)];
+            Some((preset.name, ModelMapping { layer_dataflows, links }))
+        })
+        .unzip();
+    // The joint sweep never prunes, so the Pareto frontier rides along the
+    // scalar search without affecting it.
+    let found = Search {
+        count: total,
+        gen: &gen,
+        seeds,
+        eval: &eval,
+        k: opts.top_k,
+        threads,
+        chunk: opts.chunk,
+        prune: false,
+        front: if opts.pareto { FrontMode::Alongside } else { FrontMode::Off },
+        cancel: None,
     }
-
-    let frontier: Vec<ModelParetoPoint> = if pareto {
-        front
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .into_sorted()
-            .into_iter()
-            .map(|(index, mapping, report, axes)| ModelParetoPoint {
-                mapping,
-                runtime_cycles: report.total_cycles,
-                energy_pj: axes[1],
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                report,
-                index: (index < total).then_some(index),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Rank: ascending (score, index), deduplicated by mapping. `total_cmp`
-    // keys so a NaN objective score cannot panic the sort (it ranks last).
-    merged.sort_by(|a, b| super::key_cmp((a.0, a.1), (b.0, b.1)));
-    let mut ranked: Vec<RankedModelMapping> = Vec::with_capacity(opts.top_k.max(1));
-    for (score, index, mapping, report) in merged {
-        if ranked.len() == opts.top_k.max(1) {
-            break;
-        }
-        if ranked.iter().any(|r| r.mapping == mapping) {
-            continue;
-        }
-        ranked.push(RankedModelMapping {
-            mapping,
-            report,
+    .run()
+    .expect("an uncancellable search always completes");
+    let uniform = names
+        .iter()
+        .zip(&found.seeds)
+        .filter_map(|(name, seed)| seed.as_ref().map(|(score, r)| (name, *score, r.total_cycles)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(name, score, total_cycles)| UniformBaseline {
+            preset: name.to_string(),
+            total_cycles,
             score,
-            index: (index < total).then_some(index),
         });
-    }
+    let ranked = found
+        .ranked
+        .into_iter()
+        .map(|f| RankedModelMapping {
+            mapping: f.candidate,
+            report: f.report,
+            score: f.score,
+            index: f.index,
+        })
+        .collect();
+    let frontier = found
+        .frontier
+        .into_iter()
+        .map(|f| ModelParetoPoint {
+            mapping: f.candidate,
+            runtime_cycles: f.report.total_cycles,
+            energy_pj: f.report.energy.total_pj(),
+            buffer_peak_bytes: f.report.buffer_peak_bytes,
+            report: f.report,
+            index: f.index,
+        })
+        .collect();
 
     ModelExploreOutcome {
         model: model.name.clone(),
@@ -595,9 +561,9 @@ pub fn explore_model(
         space: total,
         layer_candidates: space.layer_candidates.iter().map(Vec::len).collect(),
         link_options: space.link_options.iter().map(Vec::len).collect(),
-        evaluated,
-        skipped,
-        seeded,
+        evaluated: found.evaluated,
+        skipped: found.skipped,
+        seeded: found.seeded,
         phase_sims,
         phase_cache_hits,
         uniform,

@@ -33,7 +33,7 @@ use omega_dataflow::{
 };
 
 use crate::cost::{CostReport, EnergyBreakdown, IntermediateCost};
-use crate::dse::lock_recover;
+use crate::dse::{lock_recover, Bound};
 use crate::pipeline::Composition;
 use crate::GnnWorkload;
 
@@ -222,15 +222,15 @@ pub(crate) struct DseBound<'p> {
     dataflow: &'p GnnDataflow,
 }
 
-impl DseBound<'_> {
+impl Bound for DseBound<'_> {
     /// Lower bound on the total cycles ([`PreparedEval::lower_bound`]).
-    pub(crate) fn cycles(&self) -> f64 {
+    fn cycles(&self) -> f64 {
         self.prep.lower_bound(self.plan, self.dataflow.inter) as f64
     }
 
     /// `[cycles, energy pJ, buffer-peak bytes]` lower bounds
     /// ([`PreparedEval::bound_vector`]).
-    pub(crate) fn vector(&self) -> [f64; 3] {
+    fn vector(&self) -> [f64; 3] {
         self.prep.bound_vector(self.plan, self.dataflow)
     }
 }

@@ -1,10 +1,12 @@
 //! A mapping optimizer over the dataflow design space (Section VI).
 //!
 //! The paper positions OMEGA as the cost model a future mapper would search
-//! with; this module is that mapper: candidate generation (Table V presets, or
-//! deterministic samples of the full 6,656-pattern space concretised by the
-//! tile chooser) plus parallel best-of search under a runtime / energy / EDP
-//! objective.
+//! with; this module holds that mapper's pieces around the one ranked search
+//! of [`crate::dse`]: the objectives, candidate generation (Table V presets
+//! with their CA companions, or deterministic samples of the full
+//! 6,656-pattern space concretised by the tile chooser), the PE-budget rule,
+//! and tile refinement. Rank a candidate list with
+//! [`crate::dse::explore_candidates`].
 
 use serde::{Deserialize, Serialize};
 
@@ -13,8 +15,8 @@ use omega_dataflow::enumerate::PatternSpace;
 use omega_dataflow::presets::Preset;
 use omega_dataflow::{GnnDataflow, InterPhase, IntraTiling, Phase};
 
-use crate::dse::{concretize_preset, dse_verdict, key_cmp, parallel_search, ParallelJob};
-use crate::{evaluate, CostReport, GnnWorkload, PreparedEval};
+use crate::dse::concretize_preset;
+use crate::{CostReport, GnnWorkload, PreparedEval};
 
 /// What the mapper minimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize, Serialize)]
@@ -49,7 +51,7 @@ impl Objective {
     }
 }
 
-/// A search winner: the dataflow and its evaluation.
+/// A [`refine_tiles`] result: the refined dataflow and its evaluation.
 #[derive(Debug, Clone)]
 pub struct SearchResult {
     /// Winning dataflow.
@@ -121,49 +123,6 @@ pub fn sampled_candidates(
     out
 }
 
-/// Evaluates all candidates in parallel (crossbeam scoped threads, shared with
-/// the exhaustive engine of [`crate::dse`]) and returns the best under
-/// `objective`. Candidates that fail validation are skipped and counted in
-/// [`SearchResult::skipped`]; [`SearchResult::evaluated`] counts the successful
-/// `evaluate` calls, so `evaluated + skipped == candidates.len()`.
-///
-/// The winner's report carries no per-chunk pipeline timeline (`chunk_marks`);
-/// re-run [`evaluate`] on the winning dataflow if you need it.
-pub fn best_of(
-    candidates: &[GnnDataflow],
-    workload: &GnnWorkload,
-    cfg: &AccelConfig,
-    objective: Objective,
-    threads: usize,
-) -> Option<SearchResult> {
-    if candidates.is_empty() {
-        return None;
-    }
-    let job = ParallelJob {
-        k: 1,
-        threads,
-        chunk: candidates.len().div_ceil(threads.max(1)),
-        init_threshold: f64::INFINITY,
-        cancel: None,
-    };
-    let prep = PreparedEval::new(workload, cfg);
-    let score = |dataflow: &GnnDataflow, _index: usize, _thr: f64| {
-        dse_verdict(prep.evaluate_dse(dataflow, None, &|_| false), objective)
-    };
-    let (merged, evaluated, skipped, _pruned) =
-        parallel_search(candidates.len(), &|i| candidates[i], &score, &job);
-    merged
-        .into_iter()
-        .min_by(|a, b| key_cmp((a.0, a.1), (b.0, b.1)))
-        .map(|(score, _, dataflow, report)| SearchResult {
-            dataflow,
-            report,
-            score,
-            evaluated,
-            skipped,
-        })
-}
-
 /// The Table V presets *plus* their CA-order companions (including AWB-GCN's
 /// dataflow) — the candidate set that covers both compute orders. CA shrinks
 /// aggregation work from `E×F` to `E×G`, so for wide-feature workloads the CA
@@ -179,6 +138,8 @@ pub fn extended_candidates(workload: &GnnWorkload, cfg: &AccelConfig) -> Vec<Gnn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::{explore_candidates, DseOptions, ExploreOutcome};
+    use crate::evaluate;
     use omega_dataflow::Dim;
     use omega_graph::DatasetSpec;
 
@@ -218,14 +179,25 @@ mod tests {
         assert_eq!(distinct.len(), over.len());
     }
 
+    fn ranked(
+        candidates: &[GnnDataflow],
+        workload: &GnnWorkload,
+        objective: Objective,
+        threads: usize,
+    ) -> ExploreOutcome {
+        let opts = DseOptions { threads, ..DseOptions::new(objective) };
+        explore_candidates(candidates, workload, &AccelConfig::paper_default(), &opts)
+    }
+
     #[test]
     fn best_of_minimises_objective() {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let candidates = preset_candidates(&workload, &cfg);
-        let best = best_of(&candidates, &workload, &cfg, Objective::Runtime, 4).unwrap();
-        assert_eq!(best.evaluated, 9);
-        assert_eq!(best.skipped, 0);
+        let out = ranked(&candidates, &workload, Objective::Runtime, 4);
+        let best = out.best().unwrap();
+        assert_eq!(out.evaluated, 9);
+        assert_eq!(out.skipped, 0);
         // The winner is no slower than every candidate.
         for df in &candidates {
             if let Ok(r) = evaluate(&workload, df, &cfg) {
@@ -250,10 +222,10 @@ mod tests {
             agg: IntraTiling::new(Phase::Aggregation, agg_order, [1, 2, 2]),
             cmb: IntraTiling::new(Phase::Combination, cmb_order, [2, 2, 1]),
         });
-        let best = best_of(&candidates, &workload, &cfg, Objective::Runtime, 3).unwrap();
-        assert_eq!(best.evaluated, 9);
-        assert_eq!(best.skipped, 1);
-        assert_eq!(best.evaluated + best.skipped, candidates.len());
+        let out = ranked(&candidates, &workload, Objective::Runtime, 3);
+        assert_eq!(out.evaluated, 9);
+        assert_eq!(out.skipped, 1);
+        assert_eq!(out.evaluated + out.skipped, candidates.len());
     }
 
     #[test]
@@ -261,9 +233,10 @@ mod tests {
         let cfg = AccelConfig::paper_default();
         let workload = wl();
         let candidates = preset_candidates(&workload, &cfg);
-        let rt = best_of(&candidates, &workload, &cfg, Objective::Runtime, 2).unwrap();
-        let en = best_of(&candidates, &workload, &cfg, Objective::Energy, 2).unwrap();
-        let edp = best_of(&candidates, &workload, &cfg, Objective::Edp, 2).unwrap();
+        let rt = ranked(&candidates, &workload, Objective::Runtime, 2);
+        let en = ranked(&candidates, &workload, Objective::Energy, 2);
+        let edp = ranked(&candidates, &workload, Objective::Edp, 2);
+        let (rt, en, edp) = (rt.best().unwrap(), en.best().unwrap(), edp.best().unwrap());
         // EDP winner can never beat the runtime winner on runtime or the energy
         // winner on energy.
         assert!(edp.report.total_cycles >= rt.report.total_cycles);
@@ -280,14 +253,16 @@ mod tests {
         // On a wide-feature workload the CA members win the runtime search.
         let wide = GnnWorkload::gcn_layer(&DatasetSpec::collab().generate(2), 16);
         let wide_candidates = extended_candidates(&wide, &cfg);
-        let best = best_of(&wide_candidates, &wide, &cfg, Objective::Runtime, 4).unwrap();
+        let out = ranked(&wide_candidates, &wide, Objective::Runtime, 4);
+        let best = out.best().unwrap();
         assert_eq!(best.dataflow.phase_order, PhaseOrder::CA, "{}", best.dataflow);
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let cfg = AccelConfig::paper_default();
-        assert!(best_of(&[], &wl(), &cfg, Objective::Runtime, 2).is_none());
+        let out = explore_candidates(&[], &wl(), &cfg, &DseOptions::new(Objective::Runtime));
+        assert!(out.best().is_none());
     }
 }
 
@@ -307,8 +282,9 @@ pub fn refine_tiles(
     objective: Objective,
     max_steps: usize,
 ) -> Option<SearchResult> {
+    let prep = PreparedEval::new(workload, cfg);
     let mut current = *dataflow;
-    let mut report = evaluate(workload, &current, cfg).ok()?;
+    let mut report = prep.evaluate(&current).ok()?;
     let mut score = objective.score(&report);
     let mut evaluated = 1;
     let mut skipped = 0;
@@ -329,7 +305,7 @@ pub fn refine_tiles(
                     } else {
                         GnnDataflow { cmb: new_tiling, ..current }
                     };
-                    let Ok(r) = evaluate(workload, &candidate, cfg) else {
+                    let Ok(r) = prep.evaluate(&candidate) else {
                         skipped += 1;
                         continue;
                     };
@@ -372,6 +348,7 @@ fn scaled_tile(tiling: &IntraTiling, pos: usize, grow: bool) -> Option<IntraTili
 #[cfg(test)]
 mod extension_tests {
     use super::*;
+    use crate::evaluate;
     use omega_dataflow::Dim;
     use omega_graph::DatasetSpec;
 

@@ -202,13 +202,14 @@ pub struct PartitionSplit {
 impl PartitionSplit {
     /// The split giving the producer fraction `f` of a `num_pes` array
     /// (Section V-C1's 25-75 / 50-50 / 75-25 allocations): `num_pes · f`
-    /// rounded into `[1, num_pes − 1]`, the consumer the rest (at least one PE,
-    /// so a 1-PE array yields an oversubscribed 1 + 1 split that evaluation
-    /// rejects).
-    pub fn fraction(num_pes: usize, f: f64) -> Self {
-        let producer_pes =
-            ((num_pes as f64 * f).round() as usize).clamp(1, num_pes.saturating_sub(1).max(1));
-        PartitionSplit { producer_pes, consumer_pes: num_pes.saturating_sub(producer_pes).max(1) }
+    /// rounded into `[1, num_pes − 1]`, the consumer the rest. `None` below
+    /// 2 PEs, where no split leaves both partitions a PE.
+    pub fn fraction(num_pes: usize, f: f64) -> Option<Self> {
+        if num_pes < 2 {
+            return None;
+        }
+        let producer_pes = ((num_pes as f64 * f).round() as usize).clamp(1, num_pes - 1);
+        Some(PartitionSplit { producer_pes, consumer_pes: num_pes - producer_pes })
     }
 }
 

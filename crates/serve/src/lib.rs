@@ -69,10 +69,11 @@ use std::time::{Duration, Instant};
 use faults::FaultPlan;
 use omega_accel::engine::ElementwiseOp;
 use omega_core::dse::{
-    CacheOutcome, CancelToken, DseCache, DseOptions, ExploreOutcome, RankedDataflow,
+    explore_candidates, CacheOutcome, CancelToken, DseCache, DseOptions, ExploreOutcome,
+    RankedDataflow,
 };
 use omega_core::mapper::{extended_candidates, Objective};
-use omega_core::{evaluate, AccelConfig, AttentionSpec, GnnDataflow, GnnWorkload};
+use omega_core::{AccelConfig, AttentionSpec, GnnDataflow, GnnWorkload};
 use serde::{Deserialize, Serialize};
 
 /// Locks a mutex, recovering the guard from a poisoned lock: a worker that
@@ -878,7 +879,7 @@ impl MapperServer {
         }
         // `fast` mode prefers a warm start over searching at all.
         if mode == "fast" {
-            if let Some(response) = self.warm_start(&workload, &cfg, &opts, objective) {
+            if let Some(response) = self.warm_start(&workload, &cfg, &opts) {
                 return Ok(response);
             }
         }
@@ -892,7 +893,7 @@ impl MapperServer {
                 Ok(Self::map_response(&outcome, disposition(how), None, "exact"))
             }
             Some(deadline_ms) => {
-                Ok(self.serve_with_deadline(&workload, cfg, opts, objective, deadline_ms, started))
+                Ok(self.serve_with_deadline(&workload, cfg, opts, deadline_ms, started))
             }
         }
     }
@@ -908,7 +909,6 @@ impl MapperServer {
         workload: &GnnWorkload,
         cfg: AccelConfig,
         opts: DseOptions,
-        objective: Objective,
         deadline_ms: u64,
         started: Instant,
     ) -> MapResponse {
@@ -923,13 +923,13 @@ impl MapperServer {
             // Cancelled under us (shutdown) or the search thread died:
             // degrade rather than stall or answer nothing.
             Ok(None) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.degraded_response(workload, &cfg, &opts, objective)
+                self.degraded_response(workload, &cfg, &opts)
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if !self.opts.background_complete {
                     token.cancel();
                 }
-                self.degraded_response(workload, &cfg, &opts, objective)
+                self.degraded_response(workload, &cfg, &opts)
             }
         }
     }
@@ -970,20 +970,21 @@ impl MapperServer {
 
     /// The degradation ladder for a missed deadline: warm-start
     /// re-evaluation of the nearest cached shape, then the best preset
-    /// dataflow by direct evaluation, then an explicit shed. Each rung is a
-    /// handful of cost-model calls — microseconds, well inside any margin.
+    /// dataflow, then an explicit shed. Each rung ranks about a dozen
+    /// candidates over one prepared workload on one search thread: 11–14 ms
+    /// on rmat-15 and 85–100 ms on rmat-18 (2-vCPU Xeon host), so a margin
+    /// sized for small graphs can be overrun on large ones.
     fn degraded_response(
         &self,
         workload: &GnnWorkload,
         cfg: &AccelConfig,
         opts: &DseOptions,
-        objective: Objective,
     ) -> MapResponse {
-        if let Some(response) = self.warm_start(workload, cfg, opts, objective) {
+        if let Some(response) = self.warm_start(workload, cfg, opts) {
             self.degraded_warm.fetch_add(1, Ordering::Relaxed);
             return response;
         }
-        if let Some(response) = self.preset_fallback(workload, cfg, opts, objective) {
+        if let Some(response) = Self::preset_fallback(workload, cfg, opts) {
             self.degraded_preset.fetch_add(1, Ordering::Relaxed);
             return response;
         }
@@ -991,57 +992,33 @@ impl MapperServer {
         MapResponse::shed("deadline exceeded and no degraded answer is available".into())
     }
 
-    /// Warm-start path: re-evaluates the ranked dataflows of the nearest
-    /// cached shape on the actual workload — a handful of cost-model calls
-    /// instead of a full search. `None` when the cache is empty or no hinted
+    /// Warm-start path: re-ranks the ranked dataflows of the nearest cached
+    /// shape on the actual workload — a handful of cost-model calls instead
+    /// of a full search. `None` when the cache is empty or no hinted
     /// dataflow evaluates successfully (caller falls back further).
     fn warm_start(
         &self,
         workload: &GnnWorkload,
         cfg: &AccelConfig,
         opts: &DseOptions,
-        objective: Objective,
     ) -> Option<MapResponse> {
         let hint = self.cache.warm_hint(workload)?;
-        let ranked = rank_by_evaluation(
-            hint.outcome.ranked.iter().map(|r| &r.dataflow),
-            workload,
-            cfg,
-            opts,
-            objective,
-        )?;
+        let candidates: Vec<GnnDataflow> = hint.outcome.ranked.iter().map(|r| r.dataflow).collect();
+        let outcome = rank_for_rung(&candidates, workload, cfg, opts)?;
         self.warm_starts.fetch_add(1, Ordering::Relaxed);
-        Some(MapResponse {
-            ok: true,
-            cache: Some("warm".into()),
-            decision_quality: Some("warm".into()),
-            best: ranked.first().cloned(),
-            ranked: Some(ranked),
-            warm_distance: Some(hint.distance),
-            ..Default::default()
-        })
+        Some(Self::map_response(&outcome, "warm", Some(hint.distance), "warm"))
     }
 
-    /// Last resort before shedding: evaluate the preset candidate dataflows
-    /// directly (the same seeds the full search starts from) and answer with
-    /// the best. Always available — it needs no cache state at all.
+    /// Last resort before shedding: rank the preset candidate dataflows
+    /// directly (the same seeds the full search starts from). Always
+    /// available — it needs no cache state at all.
     fn preset_fallback(
-        &self,
         workload: &GnnWorkload,
         cfg: &AccelConfig,
         opts: &DseOptions,
-        objective: Objective,
     ) -> Option<MapResponse> {
-        let candidates = extended_candidates(workload, cfg);
-        let ranked = rank_by_evaluation(candidates.iter(), workload, cfg, opts, objective)?;
-        Some(MapResponse {
-            ok: true,
-            cache: Some("preset".into()),
-            decision_quality: Some("preset".into()),
-            best: ranked.first().cloned(),
-            ranked: Some(ranked),
-            ..Default::default()
-        })
+        let outcome = rank_for_rung(&extended_candidates(workload, cfg), workload, cfg, opts)?;
+        Some(Self::map_response(&outcome, "preset", None, "preset"))
     }
 
     fn map_response(
@@ -1089,38 +1066,18 @@ impl MapperServer {
     }
 }
 
-/// Evaluates candidate dataflows on `workload`, ranks by objective score
-/// (ties broken by display form for determinism), dedups, and truncates to
-/// the requested top-K. `None` when nothing evaluates successfully.
-fn rank_by_evaluation<'a, I>(
-    candidates: I,
+/// Ranks `candidates` on `workload` for a degraded rung on one search
+/// thread, so a rung never fans out past its request's worker. `None` when
+/// nothing evaluates successfully.
+fn rank_for_rung(
+    candidates: &[GnnDataflow],
     workload: &GnnWorkload,
     cfg: &AccelConfig,
     opts: &DseOptions,
-    objective: Objective,
-) -> Option<Vec<Decision>>
-where
-    I: Iterator<Item = &'a GnnDataflow>,
-{
-    let mut ranked: Vec<Decision> = candidates
-        .filter_map(|dataflow| {
-            let report = evaluate(workload, dataflow, cfg).ok()?;
-            Some(Decision {
-                dataflow: dataflow.to_string(),
-                cycles: report.total_cycles,
-                energy_pj: report.energy.total_pj(),
-                buffer_peak_bytes: report.buffer_peak_bytes,
-                score: objective.score(&report),
-            })
-        })
-        .collect();
-    if ranked.is_empty() {
-        return None;
-    }
-    ranked.sort_by(|a, b| a.score.total_cmp(&b.score).then_with(|| a.dataflow.cmp(&b.dataflow)));
-    ranked.dedup_by(|a, b| a.dataflow == b.dataflow);
-    ranked.truncate(opts.top_k.max(1));
-    Some(ranked)
+) -> Option<ExploreOutcome> {
+    let opts = DseOptions { threads: 1, ..*opts };
+    let outcome = explore_candidates(candidates, workload, cfg, &opts);
+    (!outcome.ranked.is_empty()).then_some(outcome)
 }
 
 fn disposition(how: CacheOutcome) -> &'static str {
@@ -1394,6 +1351,69 @@ mod tests {
         let warm: MapResponse = serde_json::from_str(&server.handle_line(&line)).unwrap();
         assert_eq!(warm.cache.as_deref(), Some("hit"));
         assert_eq!(warm.decision_quality.as_deref(), Some("exact"));
+    }
+
+    /// Asserts a degraded rung's `ranked` is `explore_candidates` over the
+    /// rung's `candidates` — equal scores in candidate order, as in every
+    /// exact answer — and that the workload really exercises a tie.
+    fn assert_rung_ranks_like_explore_candidates(
+        response: &MapResponse,
+        candidates: &[GnnDataflow],
+        workload: &GnnWorkload,
+        top_k: usize,
+    ) {
+        let ranked = response.ranked.as_ref().expect("a degraded answer is ranked");
+        let cfg = AccelConfig::paper_default();
+        let opts = DseOptions { top_k, ..DseOptions::new(Objective::Runtime) };
+        let expected = explore_candidates(candidates, workload, &cfg, &opts);
+        let key = |d: &Decision| (d.dataflow.clone(), d.cycles, d.score.to_bits());
+        assert_eq!(
+            ranked.iter().map(key).collect::<Vec<_>>(),
+            expected.ranked.iter().map(|r| key(&Decision::of(r))).collect::<Vec<_>>()
+        );
+        let position = |d: &Decision| {
+            candidates.iter().position(|df| df.to_string() == d.dataflow).expect("a candidate")
+        };
+        let ties: Vec<_> = ranked.windows(2).filter(|w| w[0].score == w[1].score).collect();
+        assert!(!ties.is_empty(), "the workload must exercise a tie");
+        for w in ties {
+            let (a, b) = (&w[0].dataflow, &w[1].dataflow);
+            assert!(position(&w[0]) < position(&w[1]), "{a} before {b}");
+        }
+    }
+
+    #[test]
+    fn preset_rung_ranks_like_explore_candidates_with_ties_in_candidate_order() {
+        let server = test_server_with(ServeOptions {
+            faults: FaultPlan { search_delay_ms: 400, ..Default::default() },
+            background_complete: false,
+            ..Default::default()
+        });
+        // At g = 4 a PP preset ties an SP preset that precedes it.
+        let spec = tiny_workload_spec(4);
+        let line = request_json(&spec, ",\"deadline_ms\":20");
+        let degraded: MapResponse = serde_json::from_str(&server.handle_line(&line)).unwrap();
+        assert_eq!(degraded.decision_quality.as_deref(), Some("preset"), "{:?}", degraded.error);
+        let workload = spec.to_workload().unwrap();
+        let candidates = extended_candidates(&workload, &AccelConfig::paper_default());
+        let top_k = server.opts.top_k;
+        assert_rung_ranks_like_explore_candidates(&degraded, &candidates, &workload, top_k);
+    }
+
+    #[test]
+    fn warm_rung_ranks_like_explore_candidates_with_ties_in_candidate_order() {
+        let server = test_server();
+        let seed = request_json(&tiny_workload_spec(8), "");
+        assert!(serde_json::from_str::<MapResponse>(&server.handle_line(&seed)).unwrap().ok);
+        let spec = tiny_workload_spec(16);
+        let workload = spec.to_workload().unwrap();
+        let hint = server.cache().warm_hint(&workload).expect("a cached neighbour");
+        let candidates: Vec<GnnDataflow> = hint.outcome.ranked.iter().map(|r| r.dataflow).collect();
+        let line = request_json(&spec, ",\"mode\":\"fast\"");
+        let warm: MapResponse = serde_json::from_str(&server.handle_line(&line)).unwrap();
+        assert_eq!(warm.decision_quality.as_deref(), Some("warm"), "{:?}", warm.error);
+        let top_k = server.opts.top_k;
+        assert_rung_ranks_like_explore_candidates(&warm, &candidates, &workload, top_k);
     }
 
     #[test]

@@ -61,14 +61,13 @@ fn main() {
         &hw,
         &DseOptions { threads, top_k: 3, ..DseOptions::default() },
     );
-    let preset_only = mapper::best_of(
+    let presets = dse::explore_candidates(
         &mapper::preset_candidates(&workload, &hw),
         &workload,
         &hw,
-        Objective::Runtime,
-        threads,
-    )
-    .expect("presets evaluated");
+        &DseOptions { threads, top_k: 1, ..DseOptions::default() },
+    );
+    let preset_only = presets.best().expect("presets evaluated");
     let optimum = out.best().expect("non-empty space");
     println!(
         "\nruntime: best Table V preset = {} cycles; exhaustive optimum = {} cycles ({:+.1}%)",

@@ -25,7 +25,8 @@ fn main() {
         "pipeline_gantt needs a PP preset (PP1..PP4)"
     );
 
-    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_fraction);
+    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_fraction)
+        .expect("PP needs >= 2 PEs");
     let ctx = wl.tile_context(preset.pattern.phase_order);
     let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
     let report = evaluate(&wl, &df, &hw).expect("legal dataflow");

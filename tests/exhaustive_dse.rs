@@ -213,8 +213,9 @@ fn search_result_counts_are_consistent() {
     let hw = AccelConfig::paper_default();
     let workload = GnnWorkload::gcn_layer(&DatasetSpec::mutag().generate(4), 16);
     let candidates = mapper::extended_candidates(&workload, &hw);
-    let best = mapper::best_of(&candidates, &workload, &hw, Objective::Runtime, 2)
-        .expect("candidates evaluated");
+    let opts = DseOptions { threads: 2, prune: false, ..DseOptions::new(Objective::Runtime) };
+    let best = dse::explore_candidates(&candidates, &workload, &hw, &opts);
+    assert!(best.best().is_some(), "candidates evaluated");
     assert_eq!(best.evaluated + best.skipped, candidates.len());
     assert_eq!(best.skipped, 0);
 }

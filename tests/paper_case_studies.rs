@@ -10,7 +10,8 @@ fn workload(name: &str) -> GnnWorkload {
 
 fn eval_pp_split(wl: &GnnWorkload, preset_name: &str, agg_frac: f64, hw: &AccelConfig) -> u64 {
     let preset = Preset::by_name(preset_name).expect("preset");
-    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_frac);
+    let split = omega_gnn::core::multiphase::PartitionSplit::fraction(hw.num_pes, agg_frac)
+        .expect("PP needs >= 2 PEs");
     let ctx = wl.tile_context(preset.pattern.phase_order);
     let df = preset.concretize(&ctx, split.producer_pes, split.consumer_pes);
     evaluate(wl, &df, hw).expect("legal").total_cycles

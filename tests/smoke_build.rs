@@ -49,8 +49,9 @@ fn mapper_best_of_via_prelude() {
 
     let candidates = mapper::preset_candidates(&workload, &hw);
     assert!(!candidates.is_empty());
-    let best = mapper::best_of(&candidates, &workload, &hw, Objective::Runtime, 4)
-        .expect("at least one candidate evaluates");
+    let opts = DseOptions { threads: 4, ..DseOptions::new(Objective::Runtime) };
+    let outcome = dse::explore_candidates(&candidates, &workload, &hw, &opts);
+    let best = outcome.best().expect("at least one candidate evaluates");
     assert!(best.report.total_cycles > 0);
-    assert_eq!(best.evaluated, candidates.len());
+    assert_eq!(outcome.evaluated, candidates.len());
 }
